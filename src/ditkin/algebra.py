@@ -11,8 +11,10 @@ certified rational interval, never a float.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
 
 from .errors import (
@@ -111,10 +113,6 @@ class NormResult:
         horizons = [h for h in (self.horizon, other.horizon) if h is not None]
         return NormResult(self.lo + other.lo, self.hi + other.hi, max(horizons))
 
-    def scaled(self, c) -> "NormResult":
-        m = abs(Fraction(c))
-        return NormResult(self.lo * m, self.hi * m, self.horizon)
-
     def to_obj(self) -> dict:
         if self.is_exact:
             return {"exact": format_rational(self.lo)}
@@ -123,21 +121,6 @@ class NormResult:
             "hi": format_rational(self.hi),
             "horizon": self.horizon,
         }
-
-
-def norm_result_from_obj(obj: object, path: str = "norm") -> NormResult:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object")
-    if "exact" in obj:
-        return NormResult.exact(parse_rational(obj["exact"], f"{path}.exact"))
-    try:
-        return NormResult.bounds(
-            parse_rational(obj["lo"], f"{path}.lo"),
-            parse_rational(obj["hi"], f"{path}.hi"),
-            int(obj["horizon"]),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"{path}: interval needs lo, hi, horizon") from exc
 
 
 @dataclass(frozen=True)
@@ -299,10 +282,6 @@ class EventuallyConstant(Element):
         return self.tail
 
     @property
-    def is_eventually_zero(self) -> bool:
-        return self.tail == 0
-
-    @property
     def support(self) -> int:
         """Largest n with f(n) != 0 (0 for the zero element); needs tail 0."""
         if self.tail != 0:
@@ -313,19 +292,36 @@ class EventuallyConstant(Element):
         c = Fraction(c)
         return EventuallyConstant(tuple(c * v for v in self.prefix), c * self.tail)
 
+    @functools.cached_property
+    def _sups(self) -> list[Fraction]:
+        # _sups[i] = sup |f(j)| over j > len(prefix) - i.  Cached in the
+        # instance dict, the memo takes no part in __eq__, __hash__ or __repr__.
+        return list(accumulate(map(abs, reversed(self.prefix)), max, initial=abs(self.tail)))
+
+    @functools.cached_property
+    def _sums(self) -> dict[WeightFamily, list[Fraction]]:
+        return {}  # per weight family, the partial jump sums over the prefix
+
+    def tail_sup(self, start: int) -> Fraction:
+        """sup |f(j)| over j >= start, the tail value included."""
+        return self._sups[max(len(self._sups) - start, 0)]
+
+    def tail_variation(self, w: WeightFamily, start: int) -> Fraction:
+        """Sum of alpha_j * |f(j+1) - f(j)| over j >= start (all inside the prefix)."""
+        if not self.prefix:  # also keeps the shared ZERO and ONE free of memo entries
+            return Fraction(0)
+        sums = self._sums.get(w)
+        if sums is None:
+            n = len(self.prefix)
+            jumps = (w.at(j) * abs(self.at(j + 1) - self.at(j)) for j in range(1, n + 1))
+            sums = self._sums[w] = list(accumulate(jumps, initial=Fraction(0)))
+        return sums[-1] - sums[min(start, len(sums)) - 1]
+
     def sup_norm(self, horizon: int | None = None) -> NormResult:
-        best = abs(self.tail)
-        for v in self.prefix:
-            best = max(best, abs(v))
-        return NormResult.exact(best)
+        return NormResult.exact(self.tail_sup(1))
 
     def weighted_variation(self, w: WeightFamily, horizon: int | None = None) -> NormResult:
-        # all jumps sit inside the prefix; the difference at n = len(prefix)
-        # steps onto the tail value
-        total = Fraction(0)
-        for n in range(1, len(self.prefix) + 1):
-            total += w.at(n) * abs(self.at(n + 1) - self.at(n))
-        return NormResult.exact(total)
+        return NormResult.exact(self.tail_variation(w, 1))
 
     def in_ideal(self, spec: IdealSpec) -> bool:
         for p in spec.zero_set.points:
@@ -450,6 +446,11 @@ class RuleBased(Element):
         self._value_at = value_at
         self.limit = Fraction(limit)
         self._tail_bound = tail_variation_bound
+        # memo grown to the largest index scanned: f(1..m), |f(1..m)| and, per
+        # family, the partial sums S[i] = sum_{j<=i} alpha_j * |f(j+1) - f(j)|
+        self._values: list[Fraction] = []
+        self._abs: list[Fraction] = []
+        self._sums: dict[WeightFamily, list[Fraction]] = {}
         if self._tail_bound(1, _UNIT_WEIGHTS) is None:
             raise MissingTailBound(
                 "rule-based elements must certify an unweighted variation tail"
@@ -461,7 +462,35 @@ class RuleBased(Element):
         n = int(p)
         if n < 1:
             raise ValueError("points of N start at 1")
+        if n <= len(self._values):
+            return self._values[n - 1]
         return Fraction(self._value_at(n))
+
+    def _scan_to(self, m: int) -> None:
+        for n in range(len(self._values) + 1, m + 1):
+            v = Fraction(self._value_at(n))
+            self._values.append(v)
+            self._abs.append(v if v >= 0 else -v)
+
+    # The scans below read the window [start, end] from the memo, certify the
+    # tail from end + 1 on, and label the interval with the caller's horizon.
+    def scan_sup(self, start: int, end: int, horizon: int) -> NormResult:
+        """sup |f(j)| over j >= start."""
+        self._scan_to(end)
+        lo = max(abs(self.limit), max(self._abs[start - 1 : end], default=0))
+        # beyond the scan, |f(j)| <= |limit| + (unweighted variation tail)
+        hi = max(lo, abs(self.limit) + self.tail_bound(end + 1, _UNIT_WEIGHTS))
+        return NormResult.bounds(lo, hi, horizon)
+
+    def scan_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
+        """Sum of alpha_j * |f(j+1) - f(j)| over j >= start; the window is the
+        exact difference S[end] - S[start-1] of two memoised partial sums."""
+        self._scan_to(end + 1)
+        sums, v = self._sums.setdefault(w, [Fraction(0)]), self._values
+        for j in range(len(sums), end + 1):
+            sums.append(sums[-1] + w.at(j) * abs(v[j] - v[j - 1]))
+        lo = sums[end] - sums[start - 1]
+        return NormResult.bounds(lo, lo + self.tail_bound(end + 1, w), horizon)
 
     def tail_bound(self, start: int, w: WeightFamily) -> Fraction:
         b = self._tail_bound(start, w)
@@ -483,24 +512,14 @@ class RuleBased(Element):
 
         return RuleBased(lambda n: c * inner_value(n), c * limit, bound)
 
+    # norms scan the window [1, h] and certify the tail from h + 1 on
     def sup_norm(self, horizon: int | None = None) -> NormResult:
         h = DEFAULT_HORIZON if horizon is None else horizon
-        lo = abs(self.limit)
-        for j in range(1, h + 1):
-            lo = max(lo, abs(self.at(j)))
-        # beyond the scan, |f(j)| <= |limit| + (unweighted variation tail)
-        hi = max(lo, abs(self.limit) + self.tail_bound(h + 1, _UNIT_WEIGHTS))
-        return NormResult.bounds(lo, hi, h)
+        return self.scan_sup(1, h, h)
 
     def weighted_variation(self, w: WeightFamily, horizon: int | None = None) -> NormResult:
         h = DEFAULT_HORIZON if horizon is None else horizon
-        partial = Fraction(0)
-        prev = self.at(1)
-        for n in range(1, h + 1):
-            nxt = self.at(n + 1)
-            partial += w.at(n) * abs(nxt - prev)
-            prev = nxt
-        return NormResult.bounds(partial, partial + self.tail_bound(h + 1, w), h)
+        return self.scan_variation(w, 1, h, h)
 
 
 _UNIT_WEIGHTS = Constant(Fraction(1))

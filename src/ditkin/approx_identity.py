@@ -29,9 +29,7 @@ from .algebra import (
     format_rational,
 )
 from .errors import HorizonExhausted, NotInMInfinityError
-from .weights import Constant, WeightClassification, WeightFamily, eventual_form
-
-_UNIT_WEIGHTS = Constant(Fraction(1))
+from .weights import WeightClassification, WeightFamily, eventual_form
 
 DEFAULT_SELECTION_COUNT = 8
 DEFAULT_SEARCH_BOUND = 1 << 40
@@ -121,43 +119,26 @@ def residual_norm(
     """||f - e_k f|| split into its three exact pieces.
 
     Exact for the eventually-constant and dyadic tiers; a certified interval
-    for rule-based elements.
+    for rule-based elements, which scan the window [k+1, k+h+1] and certify
+    the tail from k+h+2 on.
     """
     if k < 1:
         raise ValueError("index must be >= 1")
     _require_vanishes_at_infinity(f)
-    third = w.at(k) * abs(f.at(k + 1))
 
     if isinstance(f, EventuallyConstant):
-        n = len(f.prefix)
-        sup_term = max(
-            (abs(f.at(j)) for j in range(k + 1, n + 1)), default=Fraction(0)
-        )
-        jumps = Fraction(0)
-        for j in range(k + 1, n + 1):
-            jumps += w.at(j) * abs(f.at(j + 1) - f.at(j))
-        return NormResult.exact(sup_term + jumps + third)
-
-    if isinstance(f, DyadicDecay):
+        body = NormResult.exact(f.tail_sup(k + 1) + f.tail_variation(w, k + 1))
+    elif isinstance(f, DyadicDecay):
         # values are nonincreasing, so the truncated tail's sup is f(k+1)
-        return NormResult.exact(f.at(k + 1) + dyadic_jump_tail(w, k + 1) + third)
-
-    if isinstance(f, RuleBased):
+        body = NormResult.exact(f.at(k + 1) + dyadic_jump_tail(w, k + 1))
+    elif isinstance(f, RuleBased):
         h = DEFAULT_HORIZON if horizon is None else horizon
-        sup_lo = max(abs(f.at(j)) for j in range(k + 1, k + h + 2))
-        # the limit is 0 here, so the unweighted variation tail bounds the
-        # remaining values outright
-        sup_hi = max(sup_lo, f.tail_bound(k + h + 2, _UNIT_WEIGHTS))
-        jumps_lo = Fraction(0)
-        prev = f.at(k + 1)
-        for j in range(k + 1, k + h + 2):
-            nxt = f.at(j + 1)
-            jumps_lo += w.at(j) * abs(nxt - prev)
-            prev = nxt
-        jumps_hi = jumps_lo + f.tail_bound(k + h + 2, w)
-        return NormResult.bounds(sup_lo + jumps_lo + third, sup_hi + jumps_hi + third, h)
-
-    raise TypeError(f"unknown element tier: {type(f).__name__}")
+        body = f.scan_sup(k + 1, k + h + 1, h) + f.scan_variation(w, k + 1, k + h + 1, h)
+    else:
+        raise TypeError(f"unknown element tier: {type(f).__name__}")
+    # the boundary term comes last, so a rule-based f(k+1) is read from the memo
+    third = w.at(k) * abs(f.at(k + 1))
+    return NormResult(body.lo + third, body.hi + third, body.horizon)
 
 
 def residual_oracle(f: EventuallyConstant, w: WeightFamily, k: int) -> NormResult:
@@ -194,9 +175,7 @@ def _next_running_min(w: WeightFamily, at_or_after: int) -> int:
     # indices strictly between at_or_after and the attaining index of the
     # tail infimum sit above their own tail infimum, so the attainer is the
     # next index equal to it
-    t = w.tail_infimum(at_or_after)
-    assert t.attained_at is not None
-    return t.attained_at
+    return w.tail_infimum(at_or_after).attained_at
 
 
 def _next_attaining(w: WeightFamily, liminf: Fraction, at_or_after: int) -> int:

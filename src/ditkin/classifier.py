@@ -205,9 +205,7 @@ def relative_unit_witness(
                 "a compact set excluded at infinity must stay inside N"
             )
         base = max(excluded.max_finite, 1)
-        t = w.tail_infimum(base)
-        assert t.attained_at is not None
-        k = t.attained_at
+        k = w.tail_infimum(base).attained_at
         return RelativeUnitWitness(
             point=INFINITY,
             excluded_set_max=excluded.max_finite,

@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .algebra import (
+    DEFAULT_HORIZON,
     NormResult,
     closed_set_from_obj,
     element_from_obj,
@@ -160,6 +161,8 @@ def cmd_residuals(args) -> int:
 
 
 def cmd_select_ai(args) -> int:
+    if args.count < 1:
+        raise SchemaError("--count: must be >= 1")
     w = _load_family(args.input)
     slack = parse_rational(args.slack, "--slack") if args.slack is not None else None
     sel = select_ai_subsequence(w, args.count, slack=slack)
@@ -303,7 +306,7 @@ def cmd_repro_paper(args) -> int:
 def _default_horizon() -> int:
     raw = os.environ.get(ENV_HORIZON)
     if raw is None:
-        return 1 << 16
+        return DEFAULT_HORIZON
     try:
         value = int(raw)
     except ValueError as exc:

@@ -49,18 +49,13 @@ def format_rational(q: Fraction) -> str:
 class TailInf:
     """Exact infimum of the weight tail {alpha_j : j >= at_index}.
 
-    attained_at is the smallest index realising the infimum.  In the current
-    grammar every arm has nonnegative slope, so the infimum is always
-    attained; attained_at is None only for hypothetical non-attained tails.
+    attained_at is the smallest index realising the infimum.  Every arm of
+    the grammar has nonnegative slope, so the infimum is always attained.
     """
 
     at_index: int
     value: Fraction
-    attained_at: int | None
-
-    @property
-    def attained(self) -> bool:
-        return self.attained_at is not None
+    attained_at: int
 
 
 @dataclass(frozen=True)
@@ -193,7 +188,7 @@ class WeightFamily:
         )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def eventual_form(w: WeightFamily) -> EventualForm:
     return w._flatten()
 

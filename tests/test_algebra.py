@@ -28,6 +28,8 @@ from ditkin import (
     element_from_obj,
     element_to_obj,
     prefix_indicator,
+    residual_diagnostics,
+    residual_norm,
 )
 
 from _support import exact_elements, small_fractions, weight_families
@@ -225,6 +227,80 @@ class TestRuleBasedIntervals:
         f = DYADIC.scale(3)
         res = f.weighted_variation(ODD_EVEN_FAMILY, horizon=64)
         assert res.lo <= Fraction(3, 2) <= res.hi
+
+
+def zigzag_element() -> RuleBased:
+    """f(n) = (-1)^n (1 + n mod 3) / 2^n: signed and not monotone in |f|.
+
+    |f(j)| <= 3 * 2^{-j}, so |f(j+1) - f(j)| <= 9 * 2^{-(j+1)} and the jump
+    tail from s under offset + slope*n is at most 9 (offset + slope*(s+1)) 2^{-s}.
+    """
+
+    def bound(start: int, w) -> Fraction | None:
+        if isinstance(w, Constant):
+            a, b = w.value, Fraction(0)
+        elif isinstance(w, Linear):
+            a, b = w.offset, w.slope
+        else:
+            return None
+        return 9 * (a + b * (start + 1)) * Fraction(1, 2**start)
+
+    return RuleBased(lambda n: Fraction((-1) ** n * (1 + n % 3), 2**n), 0, bound)
+
+
+MEMO_FAMILIES = (Constant(Fraction(3, 2)), Linear(1, Fraction(1, 3)))
+MEMO_QUERIES = [
+    (kind, fam, k, h)
+    for kind in ("norm", "residual", "diagnostics")
+    for fam in range(len(MEMO_FAMILIES))
+    for k, h in ((1, 40), (7, 3), (30, 90), (2, 0), (55, 12))
+]
+
+
+def _memo_query(f: RuleBased, query):
+    kind, fam, k, h = query
+    w = MEMO_FAMILIES[fam]
+    if kind == "norm":
+        return f.norm(w, horizon=h), f.sup_norm(horizon=h)
+    if kind == "residual":
+        return residual_norm(f, w, k, horizon=h)
+    return residual_diagnostics(f, w, [k, k + 2], horizon=h)
+
+
+class TestRuleBasedMemo:
+    """A filled memo gives the same results as a freshly built element."""
+
+    FRESH = {q: _memo_query(zigzag_element(), q) for q in MEMO_QUERIES}
+
+    def test_large_horizons_first(self):
+        f = zigzag_element()
+        for q in sorted(MEMO_QUERIES, key=lambda q: -q[3]):
+            assert _memo_query(f, q) == self.FRESH[q], q
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.permutations(MEMO_QUERIES))
+    def test_any_order_and_family(self, queries):
+        f = zigzag_element()
+        for q in queries:
+            assert _memo_query(f, q) == self.FRESH[q], q
+
+    def test_uncertified_family_still_raises_after_fill(self):
+        f = zigzag_element()
+        f.norm(MEMO_FAMILIES[0], horizon=64)
+        residual_norm(f, MEMO_FAMILIES[1], 3, horizon=64)
+        with pytest.raises(MissingTailBound):
+            f.norm(ODD_EVEN_FAMILY, horizon=8)
+        with pytest.raises(MissingTailBound):
+            residual_norm(f, ODD_EVEN_FAMILY, 3, horizon=8)
+
+    def test_exact_memo_stays_out_of_identity(self):
+        f = EventuallyConstant((Fraction(1), Fraction(-2, 3), Fraction(1, 2)), Fraction(0))
+        g = EventuallyConstant(f.prefix, f.tail)
+        before = (hash(f), repr(f))
+        f.norm(ODD_EVEN_FAMILY)
+        f.norm(Constant(2))
+        assert f == g and (hash(f), repr(f)) == before == (hash(g), repr(g))
+        assert f.norm(ODD_EVEN_FAMILY) == g.norm(ODD_EVEN_FAMILY)
 
 
 class TestIdeals:

@@ -2,6 +2,7 @@
 approximation."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from ditkin import (
     NotInMInfinityError,
     ONE,
     PrefixOverride,
+    RuleBased,
     ZERO,
     diagnostics_to_csv,
     ditkin_approximation,
@@ -29,6 +31,7 @@ from ditkin import (
     residual_oracle,
     select_ai_subsequence,
 )
+from ditkin.algebra import dyadic_jump_tail
 
 from _support import m_infinity_elements, random_family, weight_families
 
@@ -107,6 +110,14 @@ class TestResidualOracle:
     @given(m_infinity_elements(), weight_families(), st.integers(1, 25))
     def test_matches_direct_computation_exactly(self, f, w, k):
         assert residual_norm(f, w, k) == residual_oracle(f, w, k)
+
+    @settings(deadline=None, max_examples=60)
+    @given(m_infinity_elements(), weight_families(), weight_families())
+    def test_every_index_on_one_memoised_element(self, f, w, v):
+        # one element answers every k under two families from its memo
+        for k in range(1, len(f.prefix) + 2):
+            for fam in (w, v):
+                assert residual_norm(f, fam, k) == residual_oracle(f, fam, k)
 
 
 class TestDiagnostics:
@@ -213,8 +224,6 @@ class TestSelection:
 class TestRuleBasedTier:
     def _geometric(self):
         # f(n) = 2^{-n} with exact tails under constant and affine weights
-        from ditkin import RuleBased
-
         def bound(start, w):
             if isinstance(w, Constant):
                 a, b = w.value, Fraction(0)
@@ -256,6 +265,23 @@ class TestRuleBasedTier:
         k, res = ditkin_approximation(f, Constant(1), Fraction(1, 50), horizon=32)
         assert res.hi <= Fraction(1, 50)
         assert res.horizon == 32
+
+    def test_each_value_is_computed_once(self):
+        calls = Counter()
+
+        def value_at(n):
+            calls[n] += 1
+            return 3 * DYADIC.at(n)
+
+        f = RuleBased(value_at, 0, lambda start, w: 3 * dyadic_jump_tail(w, start))
+        w, h = ODD_EVEN_FAMILY, 64
+        f.norm(w, horizon=h)
+        for k in (5, 1, 40):
+            residual_norm(f, w, k, horizon=h)
+        k, res = ditkin_approximation(f, w, Fraction(1, 20), horizon=h)
+        assert res.hi <= Fraction(1, 20)
+        assert max(calls.values()) == 1
+        assert sorted(calls) == list(range(1, max(calls) + 1))
 
 
 class TestDitkinApproximation:

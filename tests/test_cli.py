@@ -149,6 +149,13 @@ class TestSelectAi:
         out = json.loads(capsys.readouterr().out)
         assert out["indices"] == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_nonpositive_count_is_input_error(self, odd_even_weights_file, capsys, count):
+        assert main(["select-ai", odd_even_weights_file, "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: --count: must be >= 1\n"
+
 
 class TestWitness:
     def test_finite_point(self, tmp_path, capsys):
