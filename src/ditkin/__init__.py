@@ -38,10 +38,12 @@ from .approx_identity import (
 )
 from .classifier import (
     PropertyReport,
+    REPRO_CHECKS,
     RelativeUnitWitness,
     dyadic_counterexample,
     property_report,
     relative_unit_witness,
+    repro_checks,
     unbounded_nondivergent_family,
 )
 from .errors import (
@@ -61,7 +63,6 @@ from .weights import (
     Interleave,
     Linear,
     PrefixOverride,
-    Rational,
     TailInf,
     WeightClassification,
     WeightFamily,
@@ -97,7 +98,7 @@ __all__ = [
     "ONE",
     "PrefixOverride",
     "PropertyReport",
-    "Rational",
+    "REPRO_CHECKS",
     "RelativeUnitWitness",
     "RuleBased",
     "SchemaError",
@@ -117,6 +118,7 @@ __all__ = [
     "prefix_indicator",
     "property_report",
     "relative_unit_witness",
+    "repro_checks",
     "residual_diagnostics",
     "residual_norm",
     "residual_oracle",

@@ -113,6 +113,11 @@ class NormResult:
         horizons = [h for h in (self.horizon, other.horizon) if h is not None]
         return NormResult(self.lo + other.lo, self.hi + other.hi, max(horizons))
 
+    def __str__(self) -> str:
+        if self.is_exact:
+            return format_rational(self.lo)
+        return f"[{format_rational(self.lo)}, {format_rational(self.hi)}] (horizon {self.horizon})"
+
     def to_obj(self) -> dict:
         if self.is_exact:
             return {"exact": format_rational(self.lo)}
@@ -214,11 +219,25 @@ class Element:
     def scale(self, c) -> "Element":
         raise NotImplementedError
 
-    def sup_norm(self, horizon: int | None = None) -> NormResult:
+    # The two tail functionals every tier provides.  Only the rule-based tier
+    # reads the window [start, end], certifies the rest from end + 1 on and
+    # labels its interval with horizon; the exact tiers ignore both.
+    def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
+        """sup |f(j)| over j >= start, the limit f(∞) included."""
         raise NotImplementedError
 
-    def weighted_variation(self, w: WeightFamily, horizon: int | None = None) -> NormResult:
+    def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
+        """Sum of alpha_j * |f(j+1) - f(j)| over j >= start."""
         raise NotImplementedError
+
+    # norms scan the window [1, h]
+    def sup_norm(self, horizon: int | None = None) -> NormResult:
+        h = DEFAULT_HORIZON if horizon is None else horizon
+        return self.tail_sup(1, h, h)
+
+    def weighted_variation(self, w: WeightFamily, horizon: int | None = None) -> NormResult:
+        h = DEFAULT_HORIZON if horizon is None else horizon
+        return self.tail_variation(w, 1, h, h)
 
     def norm(self, w: WeightFamily, horizon: int | None = None) -> NormResult:
         return self.sup_norm(horizon) + self.weighted_variation(w, horizon)
@@ -302,26 +321,19 @@ class EventuallyConstant(Element):
     def _sums(self) -> dict[WeightFamily, list[Fraction]]:
         return {}  # per weight family, the partial jump sums over the prefix
 
-    def tail_sup(self, start: int) -> Fraction:
-        """sup |f(j)| over j >= start, the tail value included."""
-        return self._sups[max(len(self._sups) - start, 0)]
+    def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
+        return NormResult.exact(self._sups[max(len(self._sups) - start, 0)])
 
-    def tail_variation(self, w: WeightFamily, start: int) -> Fraction:
-        """Sum of alpha_j * |f(j+1) - f(j)| over j >= start (all inside the prefix)."""
+    def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
+        # every jump sits inside the prefix
         if not self.prefix:  # also keeps the shared ZERO and ONE free of memo entries
-            return Fraction(0)
+            return NormResult.exact(0)
         sums = self._sums.get(w)
         if sums is None:
             n = len(self.prefix)
             jumps = (w.at(j) * abs(self.at(j + 1) - self.at(j)) for j in range(1, n + 1))
             sums = self._sums[w] = list(accumulate(jumps, initial=Fraction(0)))
-        return sums[-1] - sums[min(start, len(sums)) - 1]
-
-    def sup_norm(self, horizon: int | None = None) -> NormResult:
-        return NormResult.exact(self.tail_sup(1))
-
-    def weighted_variation(self, w: WeightFamily, horizon: int | None = None) -> NormResult:
-        return NormResult.exact(self.tail_variation(w, 1))
+        return NormResult.exact(sums[-1] - sums[min(start, len(sums)) - 1])
 
     def in_ideal(self, spec: IdealSpec) -> bool:
         for p in spec.zero_set.points:
@@ -367,12 +379,12 @@ class DyadicDecay(Element):
             tail_variation_bound=lambda start, w: abs(c) * dyadic_jump_tail(w, start),
         )
 
-    def sup_norm(self, horizon: int | None = None) -> NormResult:
-        # block values halve, so the first block value f(1) = 1/2 is the sup
-        return NormResult.exact(Fraction(1, 2))
+    def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
+        # the values are nonincreasing, so the first one is the sup
+        return NormResult.exact(self.at(start))
 
-    def weighted_variation(self, w: WeightFamily, horizon: int | None = None) -> NormResult:
-        return NormResult.exact(dyadic_jump_tail(w, 1))
+    def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
+        return NormResult.exact(dyadic_jump_tail(w, start))
 
     def in_ideal(self, spec: IdealSpec) -> bool:
         if spec.zero_set.points:
@@ -472,19 +484,15 @@ class RuleBased(Element):
             self._values.append(v)
             self._abs.append(v if v >= 0 else -v)
 
-    # The scans below read the window [start, end] from the memo, certify the
-    # tail from end + 1 on, and label the interval with the caller's horizon.
-    def scan_sup(self, start: int, end: int, horizon: int) -> NormResult:
-        """sup |f(j)| over j >= start."""
+    def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
         self._scan_to(end)
         lo = max(abs(self.limit), max(self._abs[start - 1 : end], default=0))
         # beyond the scan, |f(j)| <= |limit| + (unweighted variation tail)
         hi = max(lo, abs(self.limit) + self.tail_bound(end + 1, _UNIT_WEIGHTS))
         return NormResult.bounds(lo, hi, horizon)
 
-    def scan_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
-        """Sum of alpha_j * |f(j+1) - f(j)| over j >= start; the window is the
-        exact difference S[end] - S[start-1] of two memoised partial sums."""
+    def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
+        # the window is the exact difference S[end] - S[start-1] of two memo sums
         self._scan_to(end + 1)
         sums, v = self._sums.setdefault(w, [Fraction(0)]), self._values
         for j in range(len(sums), end + 1):
@@ -511,15 +519,6 @@ class RuleBased(Element):
             return None if b is None else abs(c) * b
 
         return RuleBased(lambda n: c * inner_value(n), c * limit, bound)
-
-    # norms scan the window [1, h] and certify the tail from h + 1 on
-    def sup_norm(self, horizon: int | None = None) -> NormResult:
-        h = DEFAULT_HORIZON if horizon is None else horizon
-        return self.scan_sup(1, h, h)
-
-    def weighted_variation(self, w: WeightFamily, horizon: int | None = None) -> NormResult:
-        h = DEFAULT_HORIZON if horizon is None else horizon
-        return self.scan_variation(w, 1, h, h)
 
 
 _UNIT_WEIGHTS = Constant(Fraction(1))

@@ -4,11 +4,12 @@ The indicator of {1..k} is the canonical candidate approximate identity for
 the ideal of functions vanishing at ∞.  The residual ||f - e_k f|| splits
 exactly into three nonnegative pieces: the uniform norm of the truncated
 tail, the weighted jump sum beyond k, and the boundary term
-alpha_k * |f(k+1)|.  This module computes those residuals per tier, samples
-them as diagnostic tables, and selects index subsequences whose residuals
-provably vanish: either the indices on the weight arms attaining a finite
-liminf (giving a norm-bounded selection), or the indices attaining their own
-running tail infimum (which always exist once the weights diverge).
+alpha_k * |f(k+1)|.  This module computes those residuals from the two tail
+functionals every element tier provides, samples them as diagnostic tables,
+and selects index subsequences whose residuals provably vanish: either the
+indices on the weight arms attaining a finite liminf (giving a norm-bounded
+selection), or the indices attaining their own running tail infimum (which
+always exist once the weights diverge).
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    DyadicDecay,
+    DEFAULT_HORIZON,
     Element,
     EventuallyConstant,
     NormResult,
-    RuleBased,
-    dyadic_jump_tail,
-    DEFAULT_HORIZON,
     format_rational,
 )
 from .errors import HorizonExhausted, NotInMInfinityError
@@ -116,7 +114,8 @@ def _require_vanishes_at_infinity(f: Element) -> None:
 def residual_norm(
     f: Element, w: WeightFamily, k: int, horizon: int | None = None
 ) -> NormResult:
-    """||f - e_k f|| split into its three exact pieces.
+    """||f - e_k f|| split into its three exact pieces: the tail sup and the
+    tail variation from k+1 on, plus the boundary term alpha_k * |f(k+1)|.
 
     Exact for the eventually-constant and dyadic tiers; a certified interval
     for rule-based elements, which scan the window [k+1, k+h+1] and certify
@@ -125,17 +124,8 @@ def residual_norm(
     if k < 1:
         raise ValueError("index must be >= 1")
     _require_vanishes_at_infinity(f)
-
-    if isinstance(f, EventuallyConstant):
-        body = NormResult.exact(f.tail_sup(k + 1) + f.tail_variation(w, k + 1))
-    elif isinstance(f, DyadicDecay):
-        # values are nonincreasing, so the truncated tail's sup is f(k+1)
-        body = NormResult.exact(f.at(k + 1) + dyadic_jump_tail(w, k + 1))
-    elif isinstance(f, RuleBased):
-        h = DEFAULT_HORIZON if horizon is None else horizon
-        body = f.scan_sup(k + 1, k + h + 1, h) + f.scan_variation(w, k + 1, k + h + 1, h)
-    else:
-        raise TypeError(f"unknown element tier: {type(f).__name__}")
+    h = DEFAULT_HORIZON if horizon is None else horizon
+    body = f.tail_sup(k + 1, k + h + 1, h) + f.tail_variation(w, k + 1, k + h + 1, h)
     # the boundary term comes last, so a rule-based f(k+1) is read from the memo
     third = w.at(k) * abs(f.at(k + 1))
     return NormResult(body.lo + third, body.hi + third, body.horizon)

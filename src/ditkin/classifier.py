@@ -29,9 +29,10 @@ from .approx_identity import (
     AiSelection,
     DEFAULT_SELECTION_COUNT,
     prefix_indicator,
+    residual_norm,
     select_ai_subsequence,
 )
-from .errors import InvalidExcludedSet, NotDivergentError
+from .errors import DitkinError, InvalidExcludedSet, NotDivergentError
 from .weights import (
     Constant,
     Interleave,
@@ -250,3 +251,57 @@ def unbounded_nondivergent_family(
     if divergent_part.classify().liminf is not None:
         raise NotDivergentError("the growing part must diverge to infinity")
     return Interleave((Constant(Fraction(bounded_value)), divergent_part))
+
+
+# The golden exact values of the built-in counterexample.  Each check's items
+# yield (at, ok, expected, computed) for the dyadic staircase f under weights w.
+def _jump_terms(w: WeightFamily, f: Element):
+    for k in range(1, 21):
+        j = (1 << k) - 1
+        expected, computed = Fraction(1, 1 << (k + 1)), w.at(j) * abs(f.at(j + 1) - f.at(j))
+        yield f"k={k}", computed == expected, format_rational(expected), computed
+
+
+def _self_terms(w: WeightFamily, f: Element):
+    for k in range(1, 21):
+        computed = w.at(1 << k) * f.at(1 << k)
+        yield f"k={k}", computed == Fraction(1, 4), "1/4", computed
+
+
+def _residual_bounds(w: WeightFamily, f: Element):
+    for m in range(1, 13):
+        lo = residual_norm(f, w, 1 << m).lo
+        yield f"m={m}", lo >= Fraction(1, 4), ">= 1/4", lo
+
+
+def _staircase_norm(w: WeightFamily, f: Element):
+    res = f.norm(w)
+    yield "norm", res.is_exact and res.value == 1, "1", res
+
+
+REPRO_CHECKS = (
+    ("jump terms alpha_{2^k-1} * |f(2^k) - f(2^k-1)| = 2^{-k-1}, k=1..20", _jump_terms),
+    ("self terms alpha_{2^k} * f(2^k) = 1/4, k=1..20", _self_terms),
+    ("residual at k = 2^m has certified lower bound >= 1/4, m=1..12", _residual_bounds),
+    ("norm of the dyadic staircase is exactly 1", _staircase_norm),
+)
+
+
+def repro_checks(w: WeightFamily) -> list[dict]:
+    """Run every check in REPRO_CHECKS on the dyadic staircase under w.
+
+    Each result lists the failing items; an evaluation error ends its check
+    with an "evaluation" entry, and the remaining checks still run.
+    """
+    _, f = dyadic_counterexample()
+    checks = []
+    for name, items in REPRO_CHECKS:
+        failures = []
+        try:
+            for at, ok, expected, computed in items(w, f):
+                if not ok:
+                    failures.append({"at": at, "expected": expected, "computed": str(computed)})
+        except DitkinError as exc:
+            failures.append({"at": "evaluation", "error": str(exc)})
+        checks.append({"name": name, "pass": not failures, "failures": failures})
+    return checks

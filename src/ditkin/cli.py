@@ -11,30 +11,25 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .algebra import (
-    DEFAULT_HORIZON,
-    NormResult,
-    closed_set_from_obj,
-    element_from_obj,
-    format_point,
-    parse_point,
-)
+from .algebra import closed_set_from_obj, element_from_obj, format_point, parse_point
 from .approx_identity import (
     DEFAULT_SELECTION_COUNT,
     diagnostics_to_csv,
     residual_diagnostics,
     select_ai_subsequence,
 )
-from .classifier import dyadic_counterexample, property_report, relative_unit_witness
+from .classifier import (
+    dyadic_counterexample,
+    property_report,
+    relative_unit_witness,
+    repro_checks,
+)
 from .errors import DitkinError, SchemaError
 from .weights import WeightFamily, format_rational, parse_rational, weight_family_from_obj
 
-ENV_HORIZON = "DITKIN_HORIZON"
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
@@ -49,6 +44,8 @@ def _load_json(path: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an oversized integer, or nesting too deep
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _load_family(path: str) -> WeightFamily:
@@ -79,15 +76,6 @@ def _emit(text: str, output: str | None) -> None:
 
 def _emit_json(obj: object, output: str | None) -> None:
     _emit(json.dumps(obj, indent=2), output)
-
-
-def _norm_text(res: NormResult) -> str:
-    if res.is_exact:
-        return format_rational(res.value)
-    return (
-        f"[{format_rational(res.lo)}, {format_rational(res.hi)}] "
-        f"(horizon {res.horizon})"
-    )
 
 
 def cmd_classify(args) -> int:
@@ -125,11 +113,11 @@ def cmd_norm(args) -> int:
     doc = _load_document(args.input, ["weights", "element"])
     w = weight_family_from_obj(doc["weights"], "weights")
     f = element_from_obj(doc["element"], "element")
-    res = f.norm(w, horizon=args.horizon)
+    res = f.norm(w)
     if args.format == "json":
         _emit_json(res.to_obj(), args.output)
     elif args.format == "table":
-        _emit(f"norm = {_norm_text(res)}\n", args.output)
+        _emit(f"norm = {res}\n", args.output)
     else:
         raise SchemaError("norm supports json or table output")
     return EXIT_OK
@@ -144,7 +132,7 @@ def cmd_residuals(args) -> int:
         isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in indices
     ):
         raise SchemaError("indices: expected a list of naturals >= 1")
-    rows = residual_diagnostics(f, w, indices, horizon=args.horizon)
+    rows = residual_diagnostics(f, w, indices)
     if args.format == "json":
         _emit_json([row.to_obj() for row in rows], args.output)
     elif args.format == "csv":
@@ -153,7 +141,7 @@ def cmd_residuals(args) -> int:
         lines = [f"{'n_k':>8}  {'residual':>24}  {'alpha_next':>12}  {'alpha_self':>12}"]
         for row in rows:
             lines.append(
-                f"{row.index:>8}  {_norm_text(row.residual):>24}  "
+                f"{row.index:>8}  {str(row.residual):>24}  "
                 f"{format_rational(row.alpha_next):>12}  {format_rational(row.alpha_self):>12}"
             )
         _emit("\n".join(lines) + "\n", args.output)
@@ -200,89 +188,12 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def _repro_checks(w: WeightFamily) -> list[dict]:
-    """The golden exact values of the built-in counterexample."""
-    _, f = dyadic_counterexample()
-    checks: list[dict] = []
-
-    def run(name: str, pairs) -> None:
-        failures = []
-        try:
-            for label, expected, computed in pairs():
-                if computed != expected:
-                    failures.append(
-                        {
-                            "at": label,
-                            "expected": format_rational(expected),
-                            "computed": format_rational(computed),
-                        }
-                    )
-        except DitkinError as exc:
-            failures.append({"at": "evaluation", "error": str(exc)})
-        checks.append({"name": name, "pass": not failures, "failures": failures})
-
-    def jump_terms():
-        for k in range(1, 21):
-            j = (1 << k) - 1
-            yield f"k={k}", Fraction(1, 1 << (k + 1)), w.at(j) * abs(f.at(j + 1) - f.at(j))
-
-    def self_terms():
-        for k in range(1, 21):
-            n = 1 << k
-            yield f"k={k}", Fraction(1, 4), w.at(n) * f.at(n)
-
-    run("jump terms alpha_{2^k-1} * |f(2^k) - f(2^k-1)| = 2^{-k-1}, k=1..20", jump_terms)
-    run("self terms alpha_{2^k} * f(2^k) = 1/4, k=1..20", self_terms)
-
-    residual_failures = []
-    try:
-        from .approx_identity import residual_norm
-
-        for m in range(1, 13):
-            res = residual_norm(f, w, 1 << m)
-            if res.lo < Fraction(1, 4):
-                residual_failures.append(
-                    {
-                        "at": f"m={m}",
-                        "expected": ">= 1/4",
-                        "computed": format_rational(res.lo),
-                    }
-                )
-    except DitkinError as exc:
-        residual_failures.append({"at": "evaluation", "error": str(exc)})
-    checks.append(
-        {
-            "name": "residual at k = 2^m has certified lower bound >= 1/4, m=1..12",
-            "pass": not residual_failures,
-            "failures": residual_failures,
-        }
-    )
-
-    norm_failures = []
-    try:
-        res = f.norm(w)
-        if not (res.is_exact and res.value == 1):
-            norm_failures.append(
-                {"at": "norm", "expected": "1", "computed": _norm_text(res)}
-            )
-    except DitkinError as exc:
-        norm_failures.append({"at": "evaluation", "error": str(exc)})
-    checks.append(
-        {
-            "name": "norm of the dyadic staircase is exactly 1",
-            "pass": not norm_failures,
-            "failures": norm_failures,
-        }
-    )
-    return checks
-
-
 def cmd_repro_paper(args) -> int:
     if args.weights:
         w = _load_family(args.weights)
     else:
         w, _ = dyadic_counterexample()
-    checks = _repro_checks(w)
+    checks = repro_checks(w)
     all_pass = all(c["pass"] for c in checks)
     if args.json or args.format == "json":
         _emit_json({"all_pass": all_pass, "checks": checks}, args.output)
@@ -301,19 +212,6 @@ def cmd_repro_paper(args) -> int:
         lines.append("all checks passed" if all_pass else "verification failed")
         _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
-
-
-def _default_horizon() -> int:
-    raw = os.environ.get(ENV_HORIZON)
-    if raw is None:
-        return DEFAULT_HORIZON
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SchemaError(f"{ENV_HORIZON}: not an integer: {raw!r}") from exc
-    if value < 1:
-        raise SchemaError(f"{ENV_HORIZON}: horizon must be >= 1")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,13 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norm", help="norm of an element under a weight family")
     p.add_argument("input", help="JSON file with fields: weights, element")
-    p.add_argument("--horizon", type=int, default=None, help="scan horizon for interval results")
     add_common(p)
     p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("residuals", help="residual diagnostics at given indices")
     p.add_argument("input", help="JSON file with fields: weights, element, indices")
-    p.add_argument("--horizon", type=int, default=None)
     add_common(p, formats=("json", "csv", "table"))
     p.set_defaults(fn=cmd_residuals)
 
@@ -375,10 +271,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "horizon", None) is None and hasattr(args, "horizon"):
-            args.horizon = _default_horizon()
-        elif getattr(args, "horizon", None) is not None and args.horizon < 1:
-            raise SchemaError("--horizon: must be >= 1")
         return args.fn(args)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -15,28 +15,36 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SchemaError
 
-Rational = Fraction
+MAX_FAMILY_DEPTH = 64  # nesting budget of a parsed weight family
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(value: object, path: str = "value") -> Fraction:
     """Parse an exact rational from a JSON scalar: "p/q", an integer string, or an int.
 
-    Floats are rejected: they would silently break exactness.
+    Floats would silently break exactness, so they are rejected, as are
+    decimal, exponent ("1e5000" would expand to a huge integer) and
+    digit-separator strings.
     """
     if isinstance(value, bool) or isinstance(value, float):
         raise SchemaError(f"{path}: expected an exact rational such as \"3/4\", got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{path}: not a rational 'p/q' string: {value!r}") from exc
+            if _RATIONAL.fullmatch(text):
+                return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # past the int digit limit, or "p/0"
+            pass
+        raise SchemaError(f"{path}: not a rational 'p/q' string: {value!r}")
     raise SchemaError(f"{path}: expected an exact rational, got {type(value).__name__}")
 
 
@@ -326,8 +334,10 @@ class PrefixOverride(WeightFamily):
         }
 
 
-def weight_family_from_obj(obj: object, path: str = "weights") -> WeightFamily:
+def weight_family_from_obj(obj: object, path: str = "weights", depth: int = 0) -> WeightFamily:
     """Parse a weight family from its JSON object form, with field-level errors."""
+    if depth > MAX_FAMILY_DEPTH:
+        raise SchemaError(f"{path}: weight family nested deeper than {MAX_FAMILY_DEPTH} levels")
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object, got {type(obj).__name__}")
     tag = obj.get("family")
@@ -343,7 +353,8 @@ def weight_family_from_obj(obj: object, path: str = "weights") -> WeightFamily:
         if not isinstance(parts_obj, list):
             raise SchemaError(f"{path}.parts: expected a list")
         parts = tuple(
-            weight_family_from_obj(p, f"{path}.parts[{i}]") for i, p in enumerate(parts_obj)
+            weight_family_from_obj(p, f"{path}.parts[{i}]", depth + 1)
+            for i, p in enumerate(parts_obj)
         )
         if "modulus" in obj and obj["modulus"] != len(parts):
             raise SchemaError(
@@ -357,7 +368,7 @@ def weight_family_from_obj(obj: object, path: str = "weights") -> WeightFamily:
         pre = tuple(
             parse_rational(v, f"{path}.prefix[{i}]") for i, v in enumerate(pre_obj)
         )
-        tail = weight_family_from_obj(_require(obj, "tail", path), f"{path}.tail")
+        tail = weight_family_from_obj(_require(obj, "tail", path), f"{path}.tail", depth + 1)
         return _checked(PrefixOverride, (pre, tail), path)
     raise SchemaError(
         f"{path}.family: unknown tag {tag!r} (expected constant, linear, interleave, or prefix)"

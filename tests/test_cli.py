@@ -235,17 +235,53 @@ class TestPlumbing:
         assert main(["classify", w, "--output", str(target)]) == 0
         assert json.loads(target.read_text())["dales_bound"] == "5"
 
-    def test_horizon_env_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DITKIN_HORIZON", "not-a-number")
-        path = write_json(
-            tmp_path / "in.json",
-            {"weights": ODD_EVEN_WEIGHTS, "element": {"kind": "dyadic_decay"}},
-        )
-        assert main(["norm", path]) == 2
-        assert "DITKIN_HORIZON" in capsys.readouterr().err
-
     def test_deterministic_output(self, odd_even_weights_file, capsys):
         assert main(["classify", odd_even_weights_file]) == 0
         first = capsys.readouterr().out
         assert main(["classify", odd_even_weights_file]) == 0
         assert capsys.readouterr().out == first
+
+
+def _prefix_chain_text(depth):
+    return (
+        '{"family": "prefix", "prefix": ["2"], "tail": ' * depth
+        + '{"family": "constant", "value": "1"}'
+        + "}" * depth
+    )
+
+
+class TestBadInput:
+    """Every malformed document exits 2 with one stderr line and no traceback."""
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ('{"family": "constant", "value": "1e5000"}', "weights.value"),
+            ('{"family": "constant", "value": "0.5"}', "weights.value"),
+            ('{"family": "constant", "value": "1_0"}', "weights.value"),
+            ('{"family": "constant", "value": ' + "1" * 5001 + "}", "integer"),
+            (_prefix_chain_text(400), "nested deeper than 64"),
+            (_prefix_chain_text(3000), "recursion"),
+        ],
+        ids=["exponent", "decimal", "underscore", "huge_int", "deep_400", "deep_3000"],
+    )
+    def test_exit_2_with_one_line(self, tmp_path, capsys, text, needle):
+        path = tmp_path / "w.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["classify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("input error: ")
+        assert needle in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_horizon_flag_removed(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path / "in.json",
+            {"weights": ODD_EVEN_WEIGHTS, "element": {"kind": "dyadic_decay"}},
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", path, "--horizon", "8"])
+        assert exc.value.code == 2
+        assert "--horizon" in capsys.readouterr().err

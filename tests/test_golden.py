@@ -1,0 +1,117 @@
+"""Golden CLI outputs: stdout and exit code of every subcommand, byte for byte.
+
+Each case runs `ditkin.cli.main` on a committed input under tests/golden/inputs
+and compares stdout with tests/golden/<case>.out and the exit code with
+tests/golden/exit_codes.json.  Regenerate after an intended output change with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff before committing it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from ditkin import Constant, Linear, dyadic_counterexample
+from ditkin.classifier import REPRO_CHECKS, repro_checks
+from ditkin.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+CASES = {
+    "classify_json": ["classify", "odd_even.json"],
+    "classify_table": ["classify", "odd_even.json", "--format", "table"],
+    "classify_nested_json": ["classify", "nested.json"],
+    "classify_linear_table": ["classify", "linear.json", "--format", "table"],
+    "norm_dyadic_json": ["norm", "dyadic.json"],
+    "norm_dyadic_table": ["norm", "dyadic.json", "--format", "table"],
+    "norm_exact_json": ["norm", "exact.json"],
+    "norm_exact_table": ["norm", "exact.json", "--format", "table"],
+    "norm_divergent_json": ["norm", "divergent.json"],
+    "residuals_dyadic_json": ["residuals", "dyadic.json"],
+    "residuals_dyadic_table": ["residuals", "dyadic.json", "--format", "table"],
+    "residuals_dyadic_csv": ["residuals", "dyadic.json", "--format", "csv"],
+    "residuals_exact_json": ["residuals", "exact.json"],
+    "residuals_exact_csv": ["residuals", "exact.json", "--format", "csv"],
+    "select_ai_json": ["select-ai", "odd_even.json", "--count", "6"],
+    "select_ai_table": ["select-ai", "odd_even.json", "--format", "table"],
+    "select_ai_slack_json": ["select-ai", "nested.json", "--count", "5", "--slack", "1/3"],
+    "select_ai_running_min_table": ["select-ai", "linear.json", "--format", "table"],
+    "witness_finite_json": ["witness", "witness_finite.json"],
+    "witness_finite_table": ["witness", "witness_finite.json", "--format", "table"],
+    "witness_inf_json": ["witness", "witness_inf.json"],
+    "witness_inf_table": ["witness", "witness_inf.json", "--format", "table"],
+    "repro_table": ["repro-paper"],
+    "repro_json": ["repro-paper", "--json"],
+    "repro_format_json": ["repro-paper", "--format", "json"],
+    "repro_mismatch_table": ["repro-paper", "--weights", "constant_one.json"],
+    "repro_mismatch_json": ["repro-paper", "--weights", "constant_one.json", "--json"],
+    "repro_divergent_table": ["repro-paper", "--weights", "linear.json"],
+    "repro_divergent_json": ["repro-paper", "--weights", "linear.json", "--json"],
+}
+
+
+def _argv(args: list[str]) -> list[str]:
+    return [str(INPUTS / a) if a.endswith(".json") else a for a in args]
+
+
+def _exit_codes() -> dict[str, int]:
+    return json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(case, capsys):
+    code = main(_argv(CASES[case]))
+    out = capsys.readouterr().out
+    assert code == _exit_codes()[case]
+    assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+
+
+def test_every_case_has_an_exit_code():
+    assert set(_exit_codes()) == set(CASES)
+
+
+class TestReproChecks:
+    def test_builtin_pair_passes(self):
+        w, _ = dyadic_counterexample()
+        checks = repro_checks(w)
+        assert [c["name"] for c in checks] == [name for name, _ in REPRO_CHECKS]
+        assert all(c["pass"] and c["failures"] == [] for c in checks)
+
+    def test_constant_weights_list_failures(self):
+        # the jumps sit on odd indices, where the built-in weights are 1 too
+        jump, self_terms, residual, norm = repro_checks(Constant(Fraction(1)))
+        assert jump["pass"] and norm["pass"]
+        assert not self_terms["pass"] and not residual["pass"]
+        assert self_terms["failures"][0] == {"at": "k=2", "expected": "1/4", "computed": "1/8"}
+        assert len(self_terms["failures"]) == 19
+        assert residual["failures"][0] == {"at": "m=3", "expected": ">= 1/4", "computed": "3/16"}
+
+    def test_divergent_weights_report_an_evaluation_error(self):
+        jump, self_terms, residual, norm = repro_checks(Linear(Fraction(0), Fraction(1)))
+        assert len(jump["failures"]) == 19 and len(self_terms["failures"]) == 20
+        for check in (residual, norm):
+            (failure,) = check["failures"]
+            assert failure["at"] == "evaluation" and "diverges" in failure["error"]
+
+
+def _regenerate() -> None:
+    codes = {}
+    for case, args in sorted(CASES.items()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            codes[case] = main(_argv(args))
+        (GOLDEN / f"{case}.out").write_text(out.getvalue(), encoding="utf-8")
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _regenerate()

@@ -19,6 +19,7 @@ from ditkin import (
     dyadic_counterexample,
     weight_family_from_obj,
 )
+from ditkin.weights import MAX_FAMILY_DEPTH
 
 from _support import weight_families
 
@@ -222,6 +223,35 @@ class TestSerialization:
     def test_floats_rejected(self):
         with pytest.raises(SchemaError, match="exact rational"):
             weight_family_from_obj({"family": "constant", "value": 0.5})
+
+    @pytest.mark.parametrize("text", ["1e5000", "0.5", "1_0", "3/", "/4", "1/2/3", "١"])
+    def test_non_grammar_strings_rejected(self, text):
+        with pytest.raises(SchemaError, match=r"^weights\.value: not a rational"):
+            weight_family_from_obj({"family": "constant", "value": text})
+
+    @pytest.mark.parametrize("text, value", [(" 3/4 ", Fraction(3, 4)), ("+6/4", Fraction(3, 2)), ("7", Fraction(7))])
+    def test_grammar_strings_accepted(self, text, value):
+        assert weight_family_from_obj({"family": "constant", "value": text}) == Constant(value)
+
+    @staticmethod
+    def _prefix_chain(depth):
+        obj = {"family": "constant", "value": "1"}
+        for _ in range(depth):
+            obj = {"family": "prefix", "prefix": ["2"], "tail": obj}
+        return obj
+
+    def test_nesting_budget(self):
+        w = weight_family_from_obj(self._prefix_chain(MAX_FAMILY_DEPTH))
+        assert w.at(1) == 2 and w.at(2) == 1
+        with pytest.raises(SchemaError, match=r"^weights(\.tail){65}: .*nested deeper than 64"):
+            weight_family_from_obj(self._prefix_chain(MAX_FAMILY_DEPTH + 1))
+
+    def test_nesting_budget_counts_interleave_parts(self):
+        obj = {"family": "constant", "value": "1"}
+        for _ in range(MAX_FAMILY_DEPTH + 1):
+            obj = {"family": "interleave", "parts": [{"family": "constant", "value": "1"}, obj]}
+        with pytest.raises(SchemaError, match=r"(\.parts\[[01]\]){65}: .*nested deeper"):
+            weight_family_from_obj(obj)
 
     def test_modulus_mismatch(self):
         obj = {
