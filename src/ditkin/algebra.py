@@ -18,7 +18,6 @@ from itertools import accumulate
 from typing import Callable
 
 from .errors import (
-    DivergentVariationError,
     MissingTailBound,
     SchemaError,
     UndecidableMembership,
@@ -27,7 +26,7 @@ from .errors import (
 from .weights import (
     Constant,
     WeightFamily,
-    eventual_form,
+    dyadic_jump_tail,
     format_rational,
     parse_rational,
 )
@@ -154,9 +153,6 @@ class ClosedSet:
     def max_finite(self) -> int:
         """Largest finite point, or 0 when there is none."""
         return self.points[-1] if self.points else 0
-
-    def to_obj(self) -> dict:
-        return {"points": list(self.points), "with_infinity": self.with_infinity}
 
 
 def closed_set_from_obj(obj: object, path: str = "excluded") -> ClosedSet:
@@ -352,11 +348,21 @@ ONE = EventuallyConstant((), Fraction(1))
 
 @dataclass(frozen=True)
 class DyadicDecay(Element):
-    """The staircase f(j) = 2^{-k} on the block 2^{k-1} <= j < 2^k, f(∞) = 0.
+    """The staircase f(j) = c * 2^{-k} on the block 2^{k-1} <= j < 2^k, f(∞) = 0.
 
     Its jumps sit exactly at the block edges j = 2^k - 1, which makes every
-    weighted-variation quantity a finite combination of geometric series.
+    weighted-variation quantity a finite combination of geometric series;
+    the nonzero coefficient c scales them all by |c|, so every multiple of
+    the staircase stays exact.
     """
+
+    coefficient: Fraction = Fraction(1)
+
+    def __post_init__(self):
+        c = Fraction(self.coefficient)
+        if c == 0:
+            raise ValueError("the staircase coefficient must be nonzero")
+        object.__setattr__(self, "coefficient", c)
 
     def at(self, p) -> Fraction:
         if p is INFINITY:
@@ -364,27 +370,18 @@ class DyadicDecay(Element):
         n = int(p)
         if n < 1:
             raise ValueError("points of N start at 1")
-        return Fraction(1, 1 << n.bit_length())
+        return self.coefficient / (1 << n.bit_length())
 
     def scale(self, c) -> Element:
         c = Fraction(c)
-        if c == 0:
-            return ZERO
-        if c == 1:
-            return self
-        base = self
-        return RuleBased(
-            value_at=lambda n: c * base.at(n),
-            limit=Fraction(0),
-            tail_variation_bound=lambda start, w: abs(c) * dyadic_jump_tail(w, start),
-        )
+        return ZERO if c == 0 else DyadicDecay(self.coefficient * c)
 
     def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
-        # the values are nonincreasing, so the first one is the sup
-        return NormResult.exact(self.at(start))
+        # |f| is nonincreasing, so the first value is the sup
+        return NormResult.exact(abs(self.at(start)))
 
     def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
-        return NormResult.exact(dyadic_jump_tail(w, start))
+        return NormResult.exact(abs(self.coefficient) * dyadic_jump_tail(w, start))
 
     def in_ideal(self, spec: IdealSpec) -> bool:
         if spec.zero_set.points:
@@ -392,48 +389,6 @@ class DyadicDecay(Element):
         if spec.zero_set.with_infinity and spec.neighbourhood:
             return False  # vanishes at ∞ but is never eventually zero
         return True
-
-
-def dyadic_jump_tail(w: WeightFamily, start: int) -> Fraction:
-    """Exact sum of alpha_j * |Δf(j)| over the dyadic jumps j = 2^k - 1 >= start.
-
-    Each jump contributes alpha_{2^k-1} * 2^{-(k+1)}.  Beyond the weight
-    family's eventual form, the residue of 2^k - 1 evolves by r -> 2r + 1
-    (mod M), so the weights met by the jumps are eventually periodic: the sum
-    is a finite part plus a geometric series, both exact.  Raises
-    DivergentVariationError when a growing arm recurs in the cycle, in which
-    case the series has no finite value at all.
-    """
-    if start < 1:
-        raise ValueError("start must be >= 1")
-    ef = eventual_form(w)
-    k = 1
-    while (1 << k) - 1 < start:
-        k += 1
-    total = Fraction(0)
-    while (1 << k) - 1 < ef.start:
-        total += w.at((1 << k) - 1) * Fraction(1, 1 << (k + 1))
-        k += 1
-    seen: dict[int, tuple[int, Fraction]] = {}
-    r = ((1 << k) - 1) % ef.modulus
-    while r not in seen:
-        seen[r] = (k, total)
-        a, b = ef.arms[r]
-        total += (a + b * ((1 << k) - 1)) * Fraction(1, 1 << (k + 1))
-        k += 1
-        r = (2 * r + 1) % ef.modulus
-    k1, total_at_entry = seen[r]
-    cycle_states = [s for s, (ks, _) in seen.items() if ks >= k1]
-    if any(ef.arms[s][1] > 0 for s in cycle_states):
-        raise DivergentVariationError(
-            "weighted variation of the dyadic element diverges for this family: "
-            "a growing arm recurs on the jump indices"
-        )
-    period = k - k1
-    one_cycle = total - total_at_entry
-    # sum over all repetitions of the cycle: one_cycle / (1 - 2^{-period})
-    scale = Fraction(1 << period, (1 << period) - 1)
-    return total_at_entry + one_cycle * scale
 
 
 class RuleBased(Element):
@@ -531,9 +486,9 @@ def element_to_obj(f: Element) -> dict:
             "prefix": [format_rational(v) for v in f.prefix],
             "tail": format_rational(f.tail),
         }
-    if isinstance(f, DyadicDecay):
+    if isinstance(f, DyadicDecay) and f.coefficient == 1:
         return {"kind": "dyadic_decay"}
-    raise SchemaError("rule-based elements have no serialized form")
+    raise SchemaError("only exact elements and the unit staircase have a serialized form")
 
 
 def element_from_obj(obj: object, path: str = "element") -> Element:

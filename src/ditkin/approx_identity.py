@@ -27,7 +27,7 @@ from .algebra import (
     format_rational,
 )
 from .errors import HorizonExhausted, NotInMInfinityError
-from .weights import WeightClassification, WeightFamily, eventual_form
+from .weights import WeightClassification, WeightFamily
 
 DEFAULT_SELECTION_COUNT = 8
 DEFAULT_SEARCH_BOUND = 1 << 40
@@ -161,40 +161,6 @@ def residual_diagnostics(
     return rows
 
 
-def _next_running_min(w: WeightFamily, at_or_after: int) -> int:
-    # indices strictly between at_or_after and the attaining index of the
-    # tail infimum sit above their own tail infimum, so the attainer is the
-    # next index equal to it
-    return w.tail_infimum(at_or_after).attained_at
-
-
-def _next_attaining(w: WeightFamily, liminf: Fraction, at_or_after: int) -> int:
-    """Next index on a constant arm whose value is the liminf (or an exact hit
-    inside the explicit prefix region)."""
-    ef = eventual_form(w)
-    for j in range(at_or_after, ef.start):
-        if w.at(j) == liminf:
-            return j
-    base = max(at_or_after, ef.start)
-    candidates = [
-        ef.first_in_class(r, base)
-        for r, (a, b) in enumerate(ef.arms)
-        if b == 0 and a == liminf
-    ]
-    return min(candidates)
-
-
-def _next_within_slack(
-    w: WeightFamily, threshold: Fraction, at_or_after: int
-) -> int:
-    ef = eventual_form(w)
-    limit = max(at_or_after, ef.start) + 2 * ef.modulus + 1
-    for j in range(at_or_after, limit + 1):
-        if w.at(j) <= threshold:
-            return j
-    raise AssertionError("an attaining arm guarantees a hit within one modulus")
-
-
 def select_ai_subsequence(
     w: WeightFamily, count: int, slack: Fraction | None = None
 ) -> AiSelection:
@@ -210,35 +176,22 @@ def select_ai_subsequence(
     if count < 1:
         raise ValueError("count must be >= 1")
     cls = w.classify()
-    if cls.liminf is None:
-        indices = _collect(lambda lo: _next_running_min(w, lo), count)
-        return AiSelection(
-            kind=KIND_RUNNING_MIN,
-            indices=indices,
-            norms=tuple(1 + w.at(n) for n in indices),
-        )
-
     liminf = cls.liminf
-    if slack is not None:
+    if slack is None or liminf is None:
+        indices = _collect(lambda lo: _next_selected(w, cls, lo), count)
+    else:
         slack = Fraction(slack)
         if slack < 0:
             raise ValueError("slack must be >= 0")
         threshold = liminf + slack
-        indices = _collect(lambda lo: _next_within_slack(w, threshold, lo), count)
-        used_slack = slack
-    elif cls.sup is not None:
-        # bounded weights: the whole sequence is already norm bounded
-        indices = tuple(range(1, count + 1))
-        used_slack = cls.sup - liminf
-    else:
-        indices = _collect(lambda lo: _next_attaining(w, liminf, lo), count)
-        used_slack = Fraction(0)
+        indices = _collect(lambda lo: w.first_at_most(threshold, lo), count)
+    norms = tuple(1 + w.at(n) for n in indices)
+    if liminf is None:
+        return AiSelection(kind=KIND_RUNNING_MIN, indices=indices, norms=norms)
+    if slack is None:
+        slack = Fraction(0) if cls.sup is None else cls.sup - liminf
     return AiSelection(
-        kind=KIND_BOUNDED_BAI,
-        indices=indices,
-        norms=tuple(1 + w.at(n) for n in indices),
-        liminf=liminf,
-        slack=used_slack,
+        kind=KIND_BOUNDED_BAI, indices=indices, norms=norms, liminf=liminf, slack=slack
     )
 
 
@@ -255,11 +208,14 @@ def _collect(next_fn, count: int) -> tuple[int, ...]:
 def _next_selected(
     w: WeightFamily, cls: WeightClassification, at_or_after: int
 ) -> int:
+    """The selection policy: the next selected index at or after at_or_after."""
     if cls.liminf is None:
-        return _next_running_min(w, at_or_after)
+        # indices strictly between at_or_after and the attainer of the tail
+        # infimum sit above their own tail infimum, so the attainer is next
+        return w.tail_infimum(at_or_after).attained_at
     if cls.sup is not None:
-        return at_or_after
-    return _next_attaining(w, cls.liminf, at_or_after)
+        return at_or_after  # bounded weights: the whole sequence is norm bounded
+    return w.first_attaining(cls.liminf, at_or_after)
 
 
 def ditkin_approximation(

@@ -32,14 +32,13 @@ from .approx_identity import (
     residual_norm,
     select_ai_subsequence,
 )
-from .errors import DitkinError, InvalidExcludedSet, NotDivergentError
+from .errors import DitkinError, InvalidExcludedSet, NotDivergentError, SchemaError
 from .weights import (
     Constant,
     Interleave,
     Linear,
     WeightClassification,
     WeightFamily,
-    eventual_form,
     format_rational,
 )
 
@@ -141,31 +140,13 @@ def property_report(
     )
 
 
-def _first_index_above(w: WeightFamily, threshold: Fraction) -> int:
-    """Smallest n with alpha_n > threshold; exists whenever w is unbounded."""
-    ef = eventual_form(w)
-    for j in range(1, ef.start):
-        if w.at(j) > threshold:
-            return j
-    candidates = []
-    for r, (a, b) in enumerate(ef.arms):
-        if b == 0:
-            if a > threshold:
-                candidates.append(ef.first_in_class(r, ef.start))
-        else:
-            # a + b*n > threshold from n = floor((threshold - a)/b) + 1 on
-            first = max(int((threshold - a) / b) + 1, 1)
-            candidates.append(ef.first_in_class(r, max(first, ef.start)))
-    return min(candidates)
-
-
 def _unboundedness_points(
     w: WeightFamily, count: int
 ) -> tuple[tuple[int, Fraction], ...]:
     rows = []
     for i in range(count):
         threshold = Fraction(1 << i)
-        n = _first_index_above(w, threshold)
+        n = w.first_above(threshold)  # exists: w is unbounded
         rows.append((n, w.at(n)))
     return tuple(rows)
 
@@ -254,7 +235,8 @@ def unbounded_nondivergent_family(
 
 
 # The golden exact values of the built-in counterexample.  Each check's items
-# yield (at, ok, expected, computed) for the dyadic staircase f under weights w.
+# yield (at, ok, expected, computed) for the dyadic staircase f under weights w,
+# with computed a Fraction.
 def _jump_terms(w: WeightFamily, f: Element):
     for k in range(1, 21):
         j = (1 << k) - 1
@@ -275,8 +257,8 @@ def _residual_bounds(w: WeightFamily, f: Element):
 
 
 def _staircase_norm(w: WeightFamily, f: Element):
-    res = f.norm(w)
-    yield "norm", res.is_exact and res.value == 1, "1", res
+    res = f.norm(w)  # exact on this tier, so lo is the value
+    yield "norm", res.is_exact and res.lo == 1, "1", res.lo
 
 
 REPRO_CHECKS = (
@@ -291,7 +273,8 @@ def repro_checks(w: WeightFamily) -> list[dict]:
     """Run every check in REPRO_CHECKS on the dyadic staircase under w.
 
     Each result lists the failing items; an evaluation error ends its check
-    with an "evaluation" entry, and the remaining checks still run.
+    with an "evaluation" entry, and the remaining checks still run.  A
+    SchemaError (an input too large to handle) propagates.
     """
     _, f = dyadic_counterexample()
     checks = []
@@ -300,7 +283,11 @@ def repro_checks(w: WeightFamily) -> list[dict]:
         try:
             for at, ok, expected, computed in items(w, f):
                 if not ok:
-                    failures.append({"at": at, "expected": expected, "computed": str(computed)})
+                    failures.append(
+                        {"at": at, "expected": expected, "computed": format_rational(computed)}
+                    )
+        except SchemaError:
+            raise  # an input too large to handle or print is not a failed check
         except DitkinError as exc:
             failures.append({"at": "evaluation", "error": str(exc)})
         checks.append({"name": name, "pass": not failures, "failures": failures})

@@ -104,8 +104,6 @@ def cmd_classify(args) -> int:
         lines.append(f"nondecreasing = {cls['nondecreasing']}")
         lines.append(f"diverges_to_infinity = {cls['diverges_to_infinity']}")
         _emit("\n".join(lines) + "\n", args.output)
-    else:
-        raise SchemaError("classify supports json or table output")
     return EXIT_OK
 
 
@@ -118,8 +116,6 @@ def cmd_norm(args) -> int:
         _emit_json(res.to_obj(), args.output)
     elif args.format == "table":
         _emit(f"norm = {res}\n", args.output)
-    else:
-        raise SchemaError("norm supports json or table output")
     return EXIT_OK
 
 
@@ -163,8 +159,6 @@ def cmd_select_ai(args) -> int:
             f"norms = {[format_rational(v) for v in sel.norms]}",
         ]
         _emit("\n".join(lines) + "\n", args.output)
-    else:
-        raise SchemaError("select-ai supports json or table output")
     return EXIT_OK
 
 
@@ -183,8 +177,6 @@ def cmd_witness(args) -> int:
             f"element = {json.dumps(witness.to_obj()['element'])}",
         ]
         _emit("\n".join(lines) + "\n", args.output)
-    else:
-        raise SchemaError("witness supports json or table output")
     return EXIT_OK
 
 

@@ -16,12 +16,14 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import DivergentVariationError, SchemaError
 
 MAX_FAMILY_DEPTH = 64  # nesting budget of a parsed weight family
+MAX_ARMS = 1 << 16  # budget of the eventual form: arms = lcm of the interleave moduli
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -44,13 +46,19 @@ def parse_rational(value: object, path: str = "value") -> Fraction:
                 return Fraction(text)
         except (ValueError, ZeroDivisionError):  # past the int digit limit, or "p/0"
             pass
-        raise SchemaError(f"{path}: not a rational 'p/q' string: {value!r}")
+        # a rejected value is echoed only in part, so the message stays one short line
+        more = f"... ({len(value)} characters)" if len(value) > 40 else ""
+        raise SchemaError(f"{path}: not a rational 'p/q' string: {value[:40]!r}{more}")
     raise SchemaError(f"{path}: expected an exact rational, got {type(value).__name__}")
 
 
 def format_rational(q: Fraction) -> str:
-    """Lowest-terms string form, "p/q" or "p"."""
-    return str(q)
+    """Lowest-terms string form, "p/q" or "p".  Every printed rational comes
+    through here; one past the int-to-str digit limit is a SchemaError."""
+    try:
+        return str(q)
+    except ValueError as exc:
+        raise SchemaError(f"a result has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 @dataclass(frozen=True)
@@ -123,7 +131,8 @@ class EventualForm:
 
 
 class WeightFamily:
-    """Base class of the weight grammar; concrete families below."""
+    """Base class of the weight grammar; concrete families below.  Only this
+    module reads the eventual form: every index search is a method here."""
 
     def at(self, n: int) -> Fraction:
         """Exact value of alpha_n for n >= 1."""
@@ -135,11 +144,66 @@ class WeightFamily:
     def to_obj(self) -> dict:
         raise NotImplementedError
 
+    @functools.cached_property
+    def _form(self) -> EventualForm:
+        # one cache lookup per object: the lookup hashes the whole family tree.
+        # Cached in the instance dict, it takes no part in __eq__ or __hash__.
+        return eventual_form(self)
+
+    def _first(self, at_or_after: int, hit, arm_first) -> int | None:
+        """Smallest n >= at_or_after with hit(alpha_n), or None when there is none.
+
+        Below the eventual start hit tests each value.  Past it, arm_first(a,
+        b, n0) takes an arm a + b*n and its first index n0 in range, and gives
+        the point from which the arm qualifies (None if never); the arm's
+        answer is its first index from there.  Arms are visited in the order
+        of n0, so the search stops at the first n0 past the best answer.
+        """
+        ef = self._form
+        for j in range(at_or_after, ef.start):
+            if hit(self.at(j)):
+                return j
+        base, best = max(at_or_after, ef.start), math.inf
+        for n0 in range(base, base + ef.modulus):
+            if n0 >= best:
+                break
+            m = arm_first(*ef.arm(n0), n0)
+            if m is not None:
+                best = min(best, ef.first_in_class(n0 % ef.modulus, m))
+        return None if best == math.inf else best
+
+    def first_above(self, t: Fraction, at_or_after: int = 1) -> int | None:
+        """Smallest n >= at_or_after with alpha_n > t; None when the weights stay <= t."""
+
+        def arm_first(a, b, n0):
+            if b == 0:
+                return n0 if a > t else None
+            # a + b*n > t from n = floor((t - a)/b) + 1 on
+            return max(n0, (t - a) // b + 1)
+
+        return self._first(at_or_after, lambda v: v > t, arm_first)
+
+    def first_at_most(self, t: Fraction, at_or_after: int) -> int | None:
+        """Smallest n >= at_or_after with alpha_n <= t, or None."""
+        # arms are nondecreasing, so an arm qualifies at its first index or never
+        return self._first(
+            at_or_after, lambda v: v <= t, lambda a, b, n0: n0 if a + b * n0 <= t else None
+        )
+
+    def first_attaining(self, level: Fraction, at_or_after: int) -> int | None:
+        """Smallest n >= at_or_after with alpha_n == level below the eventual
+        start, or on a constant arm at that level past it; None if there is none."""
+        return self._first(
+            at_or_after,
+            lambda v: v == level,
+            lambda a, b, n0: n0 if b == 0 and a == level else None,
+        )
+
     def tail_infimum(self, n: int) -> TailInf:
         """Exact inf{alpha_j : j >= n} with the earliest attaining index."""
         if n < 1:
             raise ValueError("index must be >= 1")
-        ef = eventual_form(self)
+        ef = self._form
         lo = max(n, ef.start)
         best: tuple[Fraction, int] | None = None
         for j in range(n, lo):
@@ -158,7 +222,7 @@ class WeightFamily:
 
     def classify(self) -> WeightClassification:
         """Exact boundedness / liminf / monotonicity classification."""
-        ef = eventual_form(self)
+        ef = self._form
         prefix_vals = [self.at(j) for j in range(1, ef.start)]
 
         if any(b > 0 for _, b in ef.arms):
@@ -199,6 +263,48 @@ class WeightFamily:
 @functools.lru_cache(maxsize=256)
 def eventual_form(w: WeightFamily) -> EventualForm:
     return w._flatten()
+
+
+def dyadic_jump_tail(w: WeightFamily, start: int) -> Fraction:
+    """Exact sum of alpha_j * |Δf(j)| over the dyadic jumps j = 2^k - 1 >= start.
+
+    Each jump contributes alpha_{2^k-1} * 2^{-(k+1)}.  Beyond the weight
+    family's eventual form, the residue of 2^k - 1 evolves by r -> 2r + 1
+    (mod M), so the weights met by the jumps are eventually periodic: the sum
+    is a finite part plus a geometric series, both exact.  Raises
+    DivergentVariationError when a growing arm recurs in the cycle, in which
+    case the series has no finite value at all.
+    """
+    if start < 1:
+        raise ValueError("start must be >= 1")
+    ef = w._form
+    k = 1
+    while (1 << k) - 1 < start:
+        k += 1
+    total = Fraction(0)
+    while (1 << k) - 1 < ef.start:
+        total += w.at((1 << k) - 1) * Fraction(1, 1 << (k + 1))
+        k += 1
+    seen: dict[int, tuple[int, Fraction]] = {}
+    r = ((1 << k) - 1) % ef.modulus
+    while r not in seen:
+        seen[r] = (k, total)
+        a, b = ef.arms[r]
+        total += (a + b * ((1 << k) - 1)) * Fraction(1, 1 << (k + 1))
+        k += 1
+        r = (2 * r + 1) % ef.modulus
+    k1, total_at_entry = seen[r]
+    cycle_states = [s for s, (ks, _) in seen.items() if ks >= k1]
+    if any(ef.arms[s][1] > 0 for s in cycle_states):
+        raise DivergentVariationError(
+            "weighted variation of the dyadic element diverges for this family: "
+            "a growing arm recurs on the jump indices"
+        )
+    period = k - k1
+    one_cycle = total - total_at_entry
+    # sum over all repetitions of the cycle: one_cycle / (1 - 2^{-period})
+    scale = Fraction(1 << period, (1 << period) - 1)
+    return total_at_entry + one_cycle * scale
 
 
 @dataclass(frozen=True)
@@ -281,6 +387,10 @@ class Interleave(WeightFamily):
         modulus = self.modulus
         for form in inner:
             modulus = math.lcm(modulus, form.modulus)
+        if modulus > MAX_ARMS:
+            raise SchemaError(
+                f"interleave: the eventual form would need {modulus} arms, over the cap of {MAX_ARMS}"
+            )
         start = max([1] + [form.start for form in inner])
         arms = []
         for r in range(modulus):

@@ -32,6 +32,8 @@ from ditkin import (
     residual_norm,
 )
 
+from ditkin.algebra import dyadic_jump_tail
+
 from _support import exact_elements, small_fractions, weight_families
 
 ODD_EVEN_FAMILY = dyadic_counterexample()[0]
@@ -228,6 +230,27 @@ class TestRuleBasedIntervals:
         res = f.weighted_variation(ODD_EVEN_FAMILY, horizon=64)
         assert res.lo <= Fraction(3, 2) <= res.hi
 
+    @pytest.mark.parametrize("c", [Fraction(3), Fraction(-5, 2), Fraction(1, 7)])
+    def test_staircase_multiples_are_exact(self, c):
+        f, w = DYADIC.scale(c), ODD_EVEN_FAMILY
+        # the construction multiples had before they were exact: a rule-based interval
+        old = RuleBased(lambda n: c * DYADIC.at(n), 0, lambda s, w: abs(c) * dyadic_jump_tail(w, s))
+        scaled = lambda r: NormResult.exact(abs(c) * r.value)
+        assert f == DyadicDecay(c) and f.norm(w) == scaled(DYADIC.norm(w))
+        hull = old.norm(w, horizon=64)
+        assert hull.lo <= f.norm(w).value <= hull.hi
+        for k in range(1, 65):
+            res = residual_norm(f, w, k)
+            assert res == scaled(residual_norm(DYADIC, w, k))
+            hull = residual_norm(old, w, k, horizon=64)
+            assert hull.lo <= res.value <= hull.hi
+
+    def test_staircase_scale(self):
+        assert DYADIC.scale(0) == ZERO and DYADIC.scale(1) == DYADIC
+        assert 2 * DYADIC.scale(Fraction(1, 2)) == DYADIC
+        with pytest.raises(ValueError):
+            DyadicDecay(0)
+
 
 def zigzag_element() -> RuleBased:
     """f(n) = (-1)^n (1 + n mod 3) / 2^n: signed and not monotone in |f|.
@@ -369,3 +392,8 @@ class TestSerialization:
     def test_rule_based_not_serializable(self):
         with pytest.raises(SchemaError):
             element_to_obj(geometric_element())
+
+    def test_only_the_unit_staircase_serializes(self):
+        assert element_to_obj(DyadicDecay(Fraction(1))) == {"kind": "dyadic_decay"}
+        with pytest.raises(SchemaError):
+            element_to_obj(DYADIC.scale(3))

@@ -285,3 +285,67 @@ class TestBadInput:
             main(["norm", path, "--horizon", "8"])
         assert exc.value.code == 2
         assert "--horizon" in capsys.readouterr().err
+
+
+def _assert_one_line_input_error(captured, needle):
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("input error: ")
+    assert needle in captured.err
+    assert "Traceback" not in captured.err
+
+
+BIG = "1" + "0" * 3000
+
+
+class TestOversizedOutput:
+    """Results past the int-to-str digit limit, and long rejected values."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norm"],
+            ["norm", "--format", "table"],
+            ["residuals"],
+            ["residuals", "--format", "csv"],
+            ["residuals", "--format", "table"],
+        ],
+        ids=["norm_json", "norm_table", "residuals_json", "residuals_csv", "residuals_table"],
+    )
+    def test_result_over_digit_limit_exits_2(self, tmp_path, capsys, argv):
+        path = write_json(
+            tmp_path / "in.json",
+            {
+                "weights": {"family": "constant", "value": BIG},
+                "element": {"kind": "eventually_constant", "prefix": [BIG, "0"]},
+                "indices": [1],
+            },
+        )
+        assert main([argv[0], path] + argv[1:]) == 2
+        _assert_one_line_input_error(capsys.readouterr(), "digits")
+
+    def test_repro_computed_over_digit_limit_exits_2(self, tmp_path, capsys):
+        nines = "9" * 4300  # odd, so alpha_{2^k} * 2^{-k-1} keeps every digit
+        path = write_json(
+            tmp_path / "w.json", {"family": "linear", "offset": nines, "slope": nines}
+        )
+        assert main(["repro-paper", "--weights", path]) == 2
+        _assert_one_line_input_error(capsys.readouterr(), "digits")
+
+    def test_long_rejected_value_is_clipped(self, tmp_path, capsys):
+        path = write_json(tmp_path / "w.json", {"family": "constant", "value": "7" * 5000})
+        assert main(["classify", path]) == 2
+        captured = capsys.readouterr()
+        _assert_one_line_input_error(captured, "(5000 characters)")
+        assert len(captured.err) < 200
+
+    def test_arm_cap_exits_2(self, tmp_path, capsys):
+        # prime part counts 2..47 would need their product, about 6.1e17, arms
+        primes = [p for p in range(2, 48) if all(p % d for d in range(2, p))]
+        leaves = lambda p: [{"family": "constant", "value": str(i + 1)} for i in range(p)]
+        doc = {
+            "family": "interleave",
+            "parts": [{"family": "interleave", "parts": leaves(p)} for p in primes],
+        }
+        assert main(["classify", write_json(tmp_path / "w.json", doc)]) == 2
+        _assert_one_line_input_error(capsys.readouterr(), "cap of 65536")

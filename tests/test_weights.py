@@ -1,13 +1,15 @@
 """Weight grammar: exact evaluation, tail infima, and classification.
 
 Brute-force oracles here use only weight evaluation (never the eventual
-form), so they are independent of the structural computations they check.
+form's arms), so they are independent of the structural computations they
+check; the attaining-index oracle reads only the form's start and modulus.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ditkin import (
@@ -19,7 +21,7 @@ from ditkin import (
     dyadic_counterexample,
     weight_family_from_obj,
 )
-from ditkin.weights import MAX_FAMILY_DEPTH
+from ditkin.weights import MAX_ARMS, MAX_FAMILY_DEPTH, dyadic_jump_tail, eventual_form
 
 from _support import weight_families
 
@@ -261,3 +263,70 @@ class TestSerialization:
         }
         with pytest.raises(SchemaError, match="modulus"):
             weight_family_from_obj(obj)
+
+
+def _constants(count):
+    return Interleave(tuple(Constant(i + 1) for i in range(count)))
+
+
+class TestArmCap:
+    def test_cap_is_inclusive(self):
+        w = Interleave((_constants(256), _constants(255)))  # lcm 65,280 <= 65,536
+        assert len(eventual_form(w).arms) == 256 * 255 <= MAX_ARMS
+        with pytest.raises(SchemaError, match=r"65792 arms, over the cap of 65536"):
+            Interleave((_constants(256), _constants(257))).classify()
+
+    def test_coprime_part_counts_rejected_fast(self):
+        # 328 leaves; the dense form would need the product of the primes to 47
+        primes = [p for p in range(2, 48) if all(p % d for d in range(2, p))]
+        w = Interleave(tuple(_constants(p) for p in primes))
+        start = time.perf_counter()
+        with pytest.raises(SchemaError, match="614889782588491410 arms"):
+            w.classify()
+        assert time.perf_counter() - start < 1
+
+
+def _brute_first(hit, lo, found):
+    """First j >= lo with hit(j), scanning past the claimed answer, or 300 indices."""
+    return next((j for j in range(lo, max(found or 0, lo) + 300) if hit(j)), None)
+
+
+class TestSearches:
+    """The index searches against brute-force scans of w.at(j)."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(weight_families(), st.integers(1, 30), st.integers(0, 6), st.integers(-1, 1))
+    def test_match_brute_scan(self, w, lo, ahead, shift):
+        # levels taken just past lo, where an arm can meet them at its first index
+        i = lo + ahead
+        t = w.at(i) + Fraction(shift, 7)
+        got = w.first_above(t, lo)
+        assert got == _brute_first(lambda j: w.at(j) > t, lo, got)
+        got = w.first_at_most(t, lo)
+        assert got == _brute_first(lambda j: w.at(j) <= t, lo, got)
+        # past the eventual start only constant arms count: alpha_j == alpha_{j+M}
+        ef = eventual_form(w)
+        level = w.at(i)
+
+        def attains(j):
+            return w.at(j) == level and (j < ef.start or w.at(j + ef.modulus) == level)
+
+        got = w.first_attaining(level, lo)
+        assert got == _brute_first(attains, lo, got)
+
+    def test_first_above_default_start(self):
+        assert ODD_EVEN_FAMILY.first_above(Fraction(1)) == 4
+        assert Constant(2).first_above(Fraction(2)) is None
+
+    @settings(deadline=None)
+    @given(weight_families(), st.integers(1, 100))
+    def test_dyadic_jump_tail_brackets_truncated_sum(self, w, s):
+        sup = w.classify().sup
+        assume(sup is not None)
+        K = 40
+        partial = sum(
+            (w.at((1 << k) - 1) * Fraction(1, 1 << (k + 1))
+             for k in range(1, K + 1) if (1 << k) - 1 >= s),
+            Fraction(0),
+        )
+        assert partial <= dyadic_jump_tail(w, s) <= partial + sup * Fraction(1, 1 << (K + 1))
