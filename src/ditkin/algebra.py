@@ -27,6 +27,7 @@ from .weights import (
     Constant,
     WeightFamily,
     dyadic_jump_tail,
+    echo,
     format_rational,
     parse_rational,
 )
@@ -57,11 +58,11 @@ def parse_point(obj: object, path: str = "point") -> int | _Infinity:
         raise SchemaError(f"{path}: expected a natural number or \"inf\"")
     if isinstance(obj, int):
         if obj < 1:
-            raise SchemaError(f"{path}: naturals start at 1, got {obj}")
+            raise SchemaError(f"{path}: naturals start at 1, got {echo(obj)}")
         return obj
     if isinstance(obj, str) and obj.strip().lower() in {"inf", "infinity", "∞"}:
         return INFINITY
-    raise SchemaError(f"{path}: expected a natural number or \"inf\", got {obj!r}")
+    raise SchemaError(f"{path}: expected a natural number or \"inf\", got {echo(obj)}")
 
 
 def format_point(p: int | _Infinity) -> object:
@@ -161,8 +162,11 @@ def closed_set_from_obj(obj: object, path: str = "excluded") -> ClosedSet:
     pts = obj.get("points", [])
     if not isinstance(pts, list) or not all(isinstance(p, int) and not isinstance(p, bool) for p in pts):
         raise SchemaError(f"{path}.points: expected a list of naturals")
+    with_infinity = obj.get("with_infinity", False)
+    if not isinstance(with_infinity, bool):
+        raise SchemaError(f"{path}.with_infinity: expected true or false")
     try:
-        return ClosedSet(tuple(pts), bool(obj.get("with_infinity", False)))
+        return ClosedSet(tuple(pts), with_infinity)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -505,5 +509,5 @@ def element_from_obj(obj: object, path: str = "element") -> Element:
     if kind == "dyadic_decay":
         return DyadicDecay()
     raise SchemaError(
-        f"{path}.kind: unknown tag {kind!r} (expected eventually_constant or dyadic_decay)"
+        f"{path}.kind: unknown tag {echo(kind)} (expected eventually_constant or dyadic_decay)"
     )

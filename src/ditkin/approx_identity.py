@@ -30,6 +30,7 @@ from .errors import HorizonExhausted, NotInMInfinityError
 from .weights import WeightClassification, WeightFamily
 
 DEFAULT_SELECTION_COUNT = 8
+MAX_SELECTION_COUNT = 1 << 16  # the CLI's budget on --count
 DEFAULT_SEARCH_BOUND = 1 << 40
 
 KIND_BOUNDED_BAI = "bounded_bai"

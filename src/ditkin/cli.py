@@ -5,6 +5,7 @@ Inputs are JSON documents (weight families, elements, points, index lists);
 outputs are JSON by default, CSV for diagnostic tables, or a plain table.
 All numeric output is exact: rationals in lowest terms, deterministic field
 order.  Exit codes: 0 success, 1 verification failure, 2 input error.
+Each subcommand is declared once in COMMANDS; `main` runs them all.
 """
 
 from __future__ import annotations
@@ -13,20 +14,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .algebra import closed_set_from_obj, element_from_obj, format_point, parse_point
-from .approx_identity import (
-    DEFAULT_SELECTION_COUNT,
-    diagnostics_to_csv,
-    residual_diagnostics,
-    select_ai_subsequence,
-)
-from .classifier import (
-    dyadic_counterexample,
-    property_report,
-    relative_unit_witness,
-    repro_checks,
-)
+from .approx_identity import DEFAULT_SELECTION_COUNT, MAX_SELECTION_COUNT, diagnostics_to_csv
+from .approx_identity import residual_diagnostics, select_ai_subsequence
+from .classifier import dyadic_counterexample, property_report, relative_unit_witness, repro_checks
 from .errors import DitkinError, SchemaError
 from .weights import WeightFamily, format_rational, parse_rational, weight_family_from_obj
 
@@ -55,221 +48,191 @@ def _load_family(path: str) -> WeightFamily:
     return weight_family_from_obj(obj, "weights")
 
 
-def _load_document(path: str, required: list[str]) -> dict:
+def _load_document(path: str, *required: str) -> tuple[dict, WeightFamily]:
+    """The document at `path`, holding `weights` and each `required` field, and its weights."""
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected a JSON object")
-    for key in required:
+    for key in ("weights", *required):
         if key not in obj:
             raise SchemaError(f"{path}: missing required field {key!r}")
-    return obj
+    return obj, weight_family_from_obj(obj["weights"], "weights")
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+# compute functions: parsed arguments -> (result, exit code)
+def _classify(args):
+    return property_report(_load_family(args.input)), EXIT_OK
 
 
-def _emit_json(obj: object, output: str | None) -> None:
-    _emit(json.dumps(obj, indent=2), output)
+def _norm(args):
+    doc, w = _load_document(args.input, "element")
+    return element_from_obj(doc["element"], "element").norm(w), EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    w = _load_family(args.input)
-    report = property_report(w)
-    if args.format == "json":
-        _emit_json(report.to_obj(), args.output)
-    elif args.format == "table":
-        obj = report.to_obj()
-        lines = []
-        for key in (
-            "ditkin",
-            "strongly_regular",
-            "spectral_synthesis",
-            "separable",
-            "strong_ditkin",
-            "m_infinity_has_bai",
-            "bru_bade",
-            "bru_dales",
-            "dales_bound",
-        ):
-            lines.append(f"{key} = {obj[key]}")
-        cls = obj["classification"]
-        lines.append(f"bounded = {cls['bounded']} (sup = {cls['sup']})")
-        lines.append(f"liminf = {cls['liminf'] if cls['liminf_finite'] else 'infinite'}")
-        lines.append(f"nondecreasing = {cls['nondecreasing']}")
-        lines.append(f"diverges_to_infinity = {cls['diverges_to_infinity']}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
-
-
-def cmd_norm(args) -> int:
-    doc = _load_document(args.input, ["weights", "element"])
-    w = weight_family_from_obj(doc["weights"], "weights")
-    f = element_from_obj(doc["element"], "element")
-    res = f.norm(w)
-    if args.format == "json":
-        _emit_json(res.to_obj(), args.output)
-    elif args.format == "table":
-        _emit(f"norm = {res}\n", args.output)
-    return EXIT_OK
-
-
-def cmd_residuals(args) -> int:
-    doc = _load_document(args.input, ["weights", "element", "indices"])
-    w = weight_family_from_obj(doc["weights"], "weights")
+def _residuals(args):
+    doc, w = _load_document(args.input, "element", "indices")
     f = element_from_obj(doc["element"], "element")
     indices = doc["indices"]
-    if not isinstance(indices, list) or not all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in indices
-    ):
+    if not (isinstance(indices, list) and all(type(n) is int and n >= 1 for n in indices)):
         raise SchemaError("indices: expected a list of naturals >= 1")
-    rows = residual_diagnostics(f, w, indices)
-    if args.format == "json":
-        _emit_json([row.to_obj() for row in rows], args.output)
-    elif args.format == "csv":
-        _emit(diagnostics_to_csv(rows), args.output)
-    elif args.format == "table":
-        lines = [f"{'n_k':>8}  {'residual':>24}  {'alpha_next':>12}  {'alpha_self':>12}"]
-        for row in rows:
-            lines.append(
-                f"{row.index:>8}  {str(row.residual):>24}  "
-                f"{format_rational(row.alpha_next):>12}  {format_rational(row.alpha_self):>12}"
-            )
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return residual_diagnostics(f, w, indices), EXIT_OK
 
 
-def cmd_select_ai(args) -> int:
+def _select_ai(args):
     if args.count < 1:
         raise SchemaError("--count: must be >= 1")
+    if args.count > MAX_SELECTION_COUNT:
+        raise SchemaError(f"--count: must be at most {MAX_SELECTION_COUNT}")
     w = _load_family(args.input)
     slack = parse_rational(args.slack, "--slack") if args.slack is not None else None
-    sel = select_ai_subsequence(w, args.count, slack=slack)
-    if args.format == "json":
-        _emit_json(sel.to_obj(), args.output)
-    elif args.format == "table":
-        lines = [
-            f"kind = {sel.kind}",
-            f"indices = {list(sel.indices)}",
-            f"norms = {[format_rational(v) for v in sel.norms]}",
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    if slack is not None and slack < 0:
+        raise SchemaError("--slack: must be >= 0")
+    return select_ai_subsequence(w, args.count, slack=slack), EXIT_OK
 
 
-def cmd_witness(args) -> int:
-    doc = _load_document(args.input, ["weights", "point"])
-    w = weight_family_from_obj(doc["weights"], "weights")
+def _witness(args):
+    doc, w = _load_document(args.input, "point")
     point = parse_point(doc["point"], "point")
     excluded = closed_set_from_obj(doc.get("excluded", {}), "excluded")
-    witness = relative_unit_witness(w, point, excluded)
-    if args.format == "json":
-        _emit_json(witness.to_obj(), args.output)
-    elif args.format == "table":
-        lines = [
-            f"point = {format_point(witness.point)}",
-            f"norm = {format_rational(witness.norm)}",
-            f"element = {json.dumps(witness.to_obj()['element'])}",
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return relative_unit_witness(w, point, excluded), EXIT_OK
 
 
-def cmd_repro_paper(args) -> int:
-    if args.weights:
-        w = _load_family(args.weights)
-    else:
-        w, _ = dyadic_counterexample()
+def _repro_paper(args):
+    w = _load_family(args.weights) if args.weights else dyadic_counterexample()[0]
     checks = repro_checks(w)
     all_pass = all(c["pass"] for c in checks)
-    if args.json or args.format == "json":
-        _emit_json({"all_pass": all_pass, "checks": checks}, args.output)
-    else:
-        lines = []
-        for c in checks:
-            lines.append(f"{'PASS' if c['pass'] else 'FAIL'}  {c['name']}")
-            for fail in c["failures"]:
-                if "error" in fail:
-                    lines.append(f"      {fail['at']}: {fail['error']}")
-                else:
-                    lines.append(
-                        f"      {fail['at']}: expected {fail['expected']}, "
-                        f"computed {fail['computed']}"
-                    )
-        lines.append("all checks passed" if all_pass else "verification failed")
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
+    code = EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
+    return {"all_pass": all_pass, "checks": checks}, code
+
+
+# renderers: result -> text
+def _json(result) -> str:
+    if isinstance(result, list):
+        return json.dumps([row.to_obj() for row in result], indent=2)
+    return json.dumps(result if isinstance(result, dict) else result.to_obj(), indent=2)
+
+
+_REPORT_TABLE_KEYS = ("ditkin", "strongly_regular", "spectral_synthesis", "separable",
+                      "strong_ditkin", "m_infinity_has_bai", "bru_bade", "bru_dales", "dales_bound")
+
+
+def _classify_table(report) -> str:
+    obj = report.to_obj()
+    cls = obj["classification"]
+    lines = [f"{key} = {obj[key]}" for key in _REPORT_TABLE_KEYS] + [
+        f"bounded = {cls['bounded']} (sup = {cls['sup']})",
+        f"liminf = {cls['liminf'] if cls['liminf_finite'] else 'infinite'}",
+        f"nondecreasing = {cls['nondecreasing']}",
+        f"diverges_to_infinity = {cls['diverges_to_infinity']}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _residuals_table(rows) -> str:
+    lines = [f"{'n_k':>8}  {'residual':>24}  {'alpha_next':>12}  {'alpha_self':>12}"] + [
+        f"{row.index:>8}  {str(row.residual):>24}  "
+        f"{format_rational(row.alpha_next):>12}  {format_rational(row.alpha_self):>12}"
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _select_ai_table(sel) -> str:
+    norms = [format_rational(v) for v in sel.norms]
+    return f"kind = {sel.kind}\nindices = {list(sel.indices)}\nnorms = {norms}\n"
+
+
+def _witness_table(witness) -> str:
+    element = json.dumps(witness.to_obj()["element"])
+    point, norm = format_point(witness.point), format_rational(witness.norm)
+    return f"point = {point}\nnorm = {norm}\nelement = {element}\n"
+
+
+def _repro_table(result) -> str:
+    lines = []
+    for c in result["checks"]:
+        lines.append(f"{'PASS' if c['pass'] else 'FAIL'}  {c['name']}")
+        for fail in c["failures"]:
+            detail = (fail["error"] if "error" in fail
+                      else f"expected {fail['expected']}, computed {fail['computed']}")
+            lines.append(f"      {fail['at']}: {detail}")
+    lines.append("all checks passed" if result["all_pass"] else "verification failed")
+    return "\n".join(lines) + "\n"
+
+
+class Command(NamedTuple):
+    help: str
+    input_help: str | None  # help of the positional input; None: the command takes none
+    compute: Callable  # parsed arguments -> (result, exit code)
+    renderers: dict[str, Callable]  # --format choice -> (result -> text); the first is the default
+    flags: tuple = ()  # (flag, add_argument keywords) pairs beyond --format and --output
+
+
+COMMANDS = {
+    "classify": Command(
+        "regularity report for a weight family", "JSON file holding the weight family",
+        _classify, {"json": _json, "table": _classify_table}),
+    "norm": Command(
+        "norm of an element under a weight family", "JSON file with fields: weights, element",
+        _norm, {"json": _json, "table": lambda res: f"norm = {res}\n"}),
+    "residuals": Command(
+        "residual diagnostics at given indices", "JSON file with fields: weights, element, indices",
+        _residuals, {"json": _json, "csv": diagnostics_to_csv, "table": _residuals_table}),
+    "select-ai": Command(
+        "select an approximate-identity subsequence", "JSON file holding the weight family",
+        _select_ai, {"json": _json, "table": _select_ai_table},
+        (("--count", dict(type=int, default=DEFAULT_SELECTION_COUNT)),
+         ("--slack", dict(default=None, help="explicit slack p/q over the liminf")))),
+    "witness": Command(
+        "relative-unit witness at a point", "JSON file with fields: weights, point, excluded",
+        _witness, {"json": _json, "table": _witness_table}),
+    "repro-paper": Command(
+        "verify the built-in counterexample family against its known exact values", None,
+        _repro_paper, {"table": _repro_table, "json": _json},
+        (("--weights", dict(default=None, help="substitute weight family (negative control)")),
+         ("--json", dict(dest="format", action="store_const", const="json",
+                         help="machine-readable pass list")))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ditkin",
-        description=(
-            "Exact computations in weighted difference algebras on the "
-            "one-point compactification of the naturals"
-        ),
-    )
+    parser = argparse.ArgumentParser(prog="ditkin", description=(
+        "Exact computations in weighted difference algebras on the "
+        "one-point compactification of the naturals"))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, formats=("json", "table"), default="json"):
-        p.add_argument("--format", choices=formats, default=default)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if cmd.input_help:
+            p.add_argument("input", help=cmd.input_help)
+        for flag, kwargs in cmd.flags:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=list(cmd.renderers))
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
-
-    p = sub.add_parser("classify", help="regularity report for a weight family")
-    p.add_argument("input", help="JSON file holding the weight family")
-    add_common(p)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("norm", help="norm of an element under a weight family")
-    p.add_argument("input", help="JSON file with fields: weights, element")
-    add_common(p)
-    p.set_defaults(fn=cmd_norm)
-
-    p = sub.add_parser("residuals", help="residual diagnostics at given indices")
-    p.add_argument("input", help="JSON file with fields: weights, element, indices")
-    add_common(p, formats=("json", "csv", "table"))
-    p.set_defaults(fn=cmd_residuals)
-
-    p = sub.add_parser("select-ai", help="select an approximate-identity subsequence")
-    p.add_argument("input", help="JSON file holding the weight family")
-    p.add_argument("--count", type=int, default=DEFAULT_SELECTION_COUNT)
-    p.add_argument("--slack", default=None, help="explicit slack p/q over the liminf")
-    add_common(p)
-    p.set_defaults(fn=cmd_select_ai)
-
-    p = sub.add_parser("witness", help="relative-unit witness at a point")
-    p.add_argument("input", help="JSON file with fields: weights, point, excluded")
-    add_common(p)
-    p.set_defaults(fn=cmd_witness)
-
-    p = sub.add_parser(
-        "repro-paper",
-        help="verify the built-in counterexample family against its known exact values",
-    )
-    p.add_argument("--weights", default=None, help="substitute weight family (negative control)")
-    p.add_argument("--json", action="store_true", help="machine-readable pass list")
-    add_common(p, default="table")
-    p.set_defaults(fn=cmd_repro_paper)
-
+        # also the default of --json, which shares the destination
+        p.set_defaults(format=next(iter(cmd.renderers)))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cmd = COMMANDS[args.command]
     try:
-        return args.fn(args)
+        result, code = cmd.compute(args)
+        text = cmd.renderers[args.format](result)
+        if args.output:
+            try:
+                Path(args.output).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise SchemaError(f"--output: {args.output}: {exc.strerror or exc}") from exc
+        else:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except DitkinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return code
 
 
 def entrypoint() -> None:

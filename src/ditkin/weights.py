@@ -46,10 +46,19 @@ def parse_rational(value: object, path: str = "value") -> Fraction:
                 return Fraction(text)
         except (ValueError, ZeroDivisionError):  # past the int digit limit, or "p/0"
             pass
-        # a rejected value is echoed only in part, so the message stays one short line
-        more = f"... ({len(value)} characters)" if len(value) > 40 else ""
-        raise SchemaError(f"{path}: not a rational 'p/q' string: {value[:40]!r}{more}")
+        raise SchemaError(f"{path}: not a rational 'p/q' string: {echo(value)}")
     raise SchemaError(f"{path}: expected an exact rational, got {type(value).__name__}")
+
+
+def echo(value: object) -> str:
+    """`repr(value)` for an error message, cut after 40 characters (of a
+    string before quoting) and then followed by the full length, so that a
+    rejected input keeps the message one short line."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 40:
+        return repr(value)
+    shown = repr(text[:40]) if isinstance(value, str) else text[:40]
+    return f"{shown}... ({len(text)} characters)"
 
 
 def format_rational(q: Fraction) -> str:
@@ -468,7 +477,7 @@ def weight_family_from_obj(obj: object, path: str = "weights", depth: int = 0) -
         )
         if "modulus" in obj and obj["modulus"] != len(parts):
             raise SchemaError(
-                f"{path}.modulus: {obj['modulus']!r} does not match {len(parts)} parts"
+                f"{path}.modulus: {echo(obj['modulus'])} does not match {len(parts)} parts"
             )
         return _checked(Interleave, (parts,), path)
     if tag == "prefix":
@@ -481,7 +490,7 @@ def weight_family_from_obj(obj: object, path: str = "weights", depth: int = 0) -
         tail = weight_family_from_obj(_require(obj, "tail", path), f"{path}.tail", depth + 1)
         return _checked(PrefixOverride, (pre, tail), path)
     raise SchemaError(
-        f"{path}.family: unknown tag {tag!r} (expected constant, linear, interleave, or prefix)"
+        f"{path}.family: unknown tag {echo(tag)} (expected constant, linear, interleave, or prefix)"
     )
 
 

@@ -1,5 +1,6 @@
 """Elements, exact pointwise algebra, norms, and ideal membership."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from ditkin import (
     residual_norm,
 )
 
-from ditkin.algebra import dyadic_jump_tail
+from ditkin.algebra import closed_set_from_obj, dyadic_jump_tail, parse_point
 
 from _support import exact_elements, small_fractions, weight_families
 
@@ -251,6 +252,16 @@ class TestRuleBasedIntervals:
         with pytest.raises(ValueError):
             DyadicDecay(0)
 
+    @pytest.mark.parametrize("c", [3, -2])
+    def test_rule_based_scale(self, c):
+        f, w = geometric_element(), Linear(1, 1)
+        base, scaled = f.norm(w, horizon=16), (c * f).norm(w, horizon=16)
+        assert scaled == NormResult.bounds(abs(c) * base.lo, abs(c) * base.hi, 16)
+        assert (c * f).at(3) == c * f.at(3)
+
+    def test_rule_based_scale_by_zero(self):
+        assert 0 * geometric_element() is ZERO
+
 
 def zigzag_element() -> RuleBased:
     """f(n) = (-1)^n (1 + n mod 3) / 2^n: signed and not monotone in |f|.
@@ -388,6 +399,62 @@ class TestSerialization:
     def test_bad_kind(self):
         with pytest.raises(SchemaError, match="kind"):
             element_from_obj({"kind": "mystery"})
+
+    @pytest.mark.parametrize(
+        "obj, needle",
+        [
+            (["kind"], "element: expected an object, got list"),
+            ({"kind": "eventually_constant", "prefix": "1"}, "element.prefix: expected a list"),
+            ({"kind": "k" * 5000}, "'" + "k" * 40 + "'... (5000 characters)"),
+        ],
+        ids=["not_object", "prefix_not_list", "long_kind"],
+    )
+    def test_element_rejections(self, obj, needle):
+        with pytest.raises(SchemaError) as exc:
+            element_from_obj(obj)
+        assert needle in str(exc.value) and len(str(exc.value)) < 200
+
+    @pytest.mark.parametrize(
+        "obj, needle",
+        [
+            (True, "point: expected a natural number"),
+            (0, "point: naturals start at 1, got 0"),
+            ("far", "point: expected a natural number or \"inf\", got 'far'"),
+            ("x" * 5000, "'" + "x" * 40 + "'... (5000 characters)"),
+            ([1] * 3000, "[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, ... (9000 characters)"),
+        ],
+        ids=["bool", "zero", "word", "long_string", "long_list"],
+    )
+    def test_point_rejections(self, obj, needle):
+        with pytest.raises(SchemaError) as exc:
+            parse_point(obj)
+        assert needle in str(exc.value) and len(str(exc.value)) < 200
+
+    def test_points_parse(self):
+        assert parse_point(7) == 7
+        assert parse_point(" Infinity ") is parse_point("inf") is INFINITY
+
+    @pytest.mark.parametrize(
+        "obj, needle",
+        [
+            ([1, 2], "excluded: expected an object"),
+            ({"points": [1, True]}, "excluded.points: expected a list of naturals"),
+            ({"points": [0]}, "excluded: closed-set points must be naturals >= 1"),
+            ({"with_infinity": "no"}, "excluded.with_infinity: expected true or false"),
+            ({"with_infinity": 1}, "excluded.with_infinity"),
+            ({"with_infinity": None}, "excluded.with_infinity"),
+        ],
+        ids=["not_object", "bool_point", "zero_point", "string_flag", "int_flag", "null_flag"],
+    )
+    def test_closed_set_rejections(self, obj, needle):
+        with pytest.raises(SchemaError, match=re.escape(needle)):
+            closed_set_from_obj(obj)
+
+    def test_closed_set_parses(self):
+        assert closed_set_from_obj({"points": [4, 1, 4], "with_infinity": True}) == ClosedSet(
+            (1, 4), with_infinity=True
+        )
+        assert closed_set_from_obj({}) == ClosedSet()
 
     def test_rule_based_not_serializable(self):
         with pytest.raises(SchemaError):

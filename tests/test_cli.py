@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ditkin.approx_identity import MAX_SELECTION_COUNT
 from ditkin.cli import main
 
 ODD_EVEN_WEIGHTS = {
@@ -156,6 +157,31 @@ class TestSelectAi:
         assert captured.out == ""
         assert captured.err == "input error: --count: must be >= 1\n"
 
+    @pytest.mark.parametrize("count", ["65537", "99999999999999999999"])
+    def test_count_over_the_cap_is_input_error(self, odd_even_weights_file, capsys, count):
+        assert main(["select-ai", odd_even_weights_file, "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: --count: must be at most 65536\n"
+
+    def test_count_at_the_cap(self, odd_even_weights_file, capsys):
+        assert main(["select-ai", odd_even_weights_file, "--count", str(MAX_SELECTION_COUNT)]) == 0
+        indices = json.loads(capsys.readouterr().out)["indices"]
+        assert indices[:3] == [1, 3, 5] and len(indices) == MAX_SELECTION_COUNT
+
+    @pytest.mark.parametrize(
+        "weights",
+        [ODD_EVEN_WEIGHTS, {"family": "linear", "offset": "0", "slope": "1"}],
+        ids=["bounded", "divergent"],
+    )
+    @pytest.mark.parametrize("slack", [["--slack", "-1"], ["--slack=-1/3"]], ids=["-1", "-1/3"])
+    def test_negative_slack_is_input_error(self, tmp_path, capsys, weights, slack):
+        path = write_json(tmp_path / "w.json", weights)
+        assert main(["select-ai", path] + slack) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: --slack: must be >= 0\n"
+
 
 class TestWitness:
     def test_finite_point(self, tmp_path, capsys):
@@ -185,6 +211,19 @@ class TestWitness:
         out = json.loads(capsys.readouterr().out)
         assert out["norm"] == "2"
         assert out["point"] == "inf"
+
+    @pytest.mark.parametrize("point", [3, "inf"])
+    def test_with_infinity_must_be_a_boolean(self, tmp_path, capsys, point):
+        path = write_json(
+            tmp_path / "in.json",
+            {
+                "weights": {"family": "constant", "value": "1"},
+                "point": point,
+                "excluded": {"points": [1], "with_infinity": "no"},
+            },
+        )
+        assert main(["witness", path]) == 2
+        _assert_one_line_input_error(capsys.readouterr(), "excluded.with_infinity")
 
     def test_point_inside_set_rejected(self, tmp_path, capsys):
         path = write_json(
@@ -234,6 +273,23 @@ class TestPlumbing:
         target = tmp_path / "report.json"
         assert main(["classify", w, "--output", str(target)]) == 0
         assert json.loads(target.read_text())["dales_bound"] == "5"
+
+    def test_output_file_is_the_stdout_text(self, odd_even_weights_file, tmp_path, capsys):
+        target = tmp_path / "selection.txt"
+        for fmt in ("table", "json"):
+            argv = ["select-ai", odd_even_weights_file, "--format", fmt]
+            assert main(argv) == 0
+            shown = capsys.readouterr().out
+            assert main(argv + ["--output", str(target)]) == 0
+            assert capsys.readouterr().out == ""
+            assert target.read_text(encoding="utf-8").rstrip("\n") == shown.rstrip("\n")
+
+    @pytest.mark.parametrize(
+        "where", ["missing/dir/out.json", "."], ids=["missing_dir", "directory"]
+    )
+    def test_unwritable_output_is_input_error(self, odd_even_weights_file, tmp_path, capsys, where):
+        assert main(["classify", odd_even_weights_file, "--output", str(tmp_path / where)]) == 2
+        _assert_one_line_input_error(capsys.readouterr(), "--output: ")
 
     def test_deterministic_output(self, odd_even_weights_file, capsys):
         assert main(["classify", odd_even_weights_file]) == 0
@@ -296,6 +352,7 @@ def _assert_one_line_input_error(captured, needle):
 
 
 BIG = "1" + "0" * 3000
+ONE = {"family": "constant", "value": "1"}
 
 
 class TestOversizedOutput:
@@ -337,6 +394,21 @@ class TestOversizedOutput:
         assert main(["classify", path]) == 2
         captured = capsys.readouterr()
         _assert_one_line_input_error(captured, "(5000 characters)")
+        assert len(captured.err) < 200
+
+    @pytest.mark.parametrize(
+        "sub, doc",
+        [
+            ("classify", {"family": "f" * 5000, "value": "1"}),
+            ("norm", {"weights": ONE, "element": {"kind": "k" * 5000}}),
+            ("witness", {"weights": ONE, "point": "p" * 5000}),
+        ],
+        ids=["family_tag", "element_kind", "point"],
+    )
+    def test_long_rejected_tag_is_clipped(self, tmp_path, capsys, sub, doc):
+        assert main([sub, write_json(tmp_path / "in.json", doc)]) == 2
+        captured = capsys.readouterr()
+        _assert_one_line_input_error(captured, "... (5000 characters)")
         assert len(captured.err) < 200
 
     def test_arm_cap_exits_2(self, tmp_path, capsys):

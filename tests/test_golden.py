@@ -1,8 +1,10 @@
-"""Golden CLI outputs: stdout and exit code of every subcommand, byte for byte.
+"""Golden CLI outputs: stdout, stderr and exit code of every subcommand, byte for byte.
 
-Each case runs `ditkin.cli.main` on a committed input under tests/golden/inputs
-and compares stdout with tests/golden/<case>.out and the exit code with
-tests/golden/exit_codes.json.  Regenerate after an intended output change with
+Each case runs `ditkin.cli.main` from tests/golden on a committed input under
+tests/golden/inputs and compares stdout with tests/golden/<case>.out, stderr
+with tests/golden/<case>.err (empty when that file is absent) and the exit
+code with tests/golden/exit_codes.json.  Regenerate after an intended output
+change with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,9 +24,9 @@ import pytest
 
 from ditkin import Constant, Linear, dyadic_counterexample
 from ditkin.classifier import REPRO_CHECKS, repro_checks
-from ditkin.cli import main
+from ditkin.cli import COMMANDS, main
 
-GOLDEN = Path(__file__).parent / "golden"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
 
 CASES = {
@@ -56,11 +59,15 @@ CASES = {
     "repro_mismatch_json": ["repro-paper", "--weights", "constant_one.json", "--json"],
     "repro_divergent_table": ["repro-paper", "--weights", "linear.json"],
     "repro_divergent_json": ["repro-paper", "--weights", "linear.json", "--json"],
+    "classify_weights_doc_json": ["classify", "dyadic.json"],  # a {"weights": ...} document
+    "error_not_object": ["norm", "not_object.json"],
+    "error_missing_field": ["norm", "witness_finite.json"],
 }
 
 
 def _argv(args: list[str]) -> list[str]:
-    return [str(INPUTS / a) if a.endswith(".json") else a for a in args]
+    # relative to GOLDEN, so the paths that error messages echo are the same on every machine
+    return [f"{INPUTS.name}/{a}" if a.endswith(".json") else a for a in args]
 
 
 def _exit_codes() -> dict[str, int]:
@@ -68,15 +75,34 @@ def _exit_codes() -> dict[str, int]:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_output(case, capsys):
+def test_golden_output(case, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
     code = main(_argv(CASES[case]))
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == _exit_codes()[case]
-    assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    assert captured.out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    err = GOLDEN / f"{case}.err"
+    assert captured.err == (err.read_text(encoding="utf-8") if err.exists() else "")
 
 
 def test_every_case_has_an_exit_code():
     assert set(_exit_codes()) == set(CASES)
+
+
+def _format(args: list[str]) -> str:
+    if "--json" in args:
+        return "json"
+    if "--format" in args:
+        return args[args.index("--format") + 1]
+    return next(iter(COMMANDS[args[0]].renderers))
+
+
+def test_every_format_has_a_golden_case():
+    codes = _exit_codes()
+    rendered = {(args[0], _format(args)) for case, args in CASES.items() if codes[case] != 2}
+    for name, cmd in COMMANDS.items():
+        for fmt in cmd.renderers:
+            assert (name, fmt) in rendered, f"no golden case renders {name} --format {fmt}"
 
 
 class TestReproChecks:
@@ -105,11 +131,16 @@ class TestReproChecks:
 
 def _regenerate() -> None:
     codes = {}
+    os.chdir(GOLDEN)
     for case, args in sorted(CASES.items()):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             codes[case] = main(_argv(args))
         (GOLDEN / f"{case}.out").write_text(out.getvalue(), encoding="utf-8")
+        if err.getvalue():
+            (GOLDEN / f"{case}.err").write_text(err.getvalue(), encoding="utf-8")
+        else:
+            (GOLDEN / f"{case}.err").unlink(missing_ok=True)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
 
 

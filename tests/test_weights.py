@@ -21,7 +21,7 @@ from ditkin import (
     dyadic_counterexample,
     weight_family_from_obj,
 )
-from ditkin.weights import MAX_ARMS, MAX_FAMILY_DEPTH, dyadic_jump_tail, eventual_form
+from ditkin.weights import MAX_ARMS, MAX_FAMILY_DEPTH, dyadic_jump_tail, echo, eventual_form
 
 from _support import weight_families
 
@@ -216,6 +216,20 @@ class TestSerialization:
     def test_bad_tag_names_the_field(self):
         with pytest.raises(SchemaError, match=r"weights\.family"):
             weight_family_from_obj({"family": "konstant"})
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            ("konstant", "'konstant'"),
+            ("k" * 40, repr("k" * 40)),
+            ("k" * 41, repr("k" * 40) + "... (41 characters)"),
+            (7, "7"),
+            (list(range(30)), repr(list(range(30)))[:40] + "... (110 characters)"),
+        ],
+        ids=["short", "at_limit", "past_limit", "int", "list"],
+    )
+    def test_echo_clips_long_values(self, value, shown):
+        assert echo(value) == shown
 
     def test_nested_error_path(self):
         obj = {"family": "interleave", "parts": [{"family": "constant", "value": "0"}, {"family": "constant", "value": "1"}]}
