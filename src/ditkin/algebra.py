@@ -283,8 +283,8 @@ class EventuallyConstant(Element):
     tail: Fraction = Fraction(0)
 
     def __post_init__(self):
-        pre = tuple(Fraction(v) for v in self.prefix)
-        t = Fraction(self.tail)
+        pre = tuple(v if type(v) is Fraction else Fraction(v) for v in self.prefix)
+        t = self.tail if type(self.tail) is Fraction else Fraction(self.tail)
         while pre and pre[-1] == t:
             pre = pre[:-1]
         object.__setattr__(self, "prefix", pre)

@@ -219,13 +219,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result, code = cmd.compute(args)
         text = cmd.renderers[args.format](result)
+        text = text if text.endswith("\n") else text + "\n"
         if args.output:
             try:
                 Path(args.output).write_text(text, encoding="utf-8")
             except OSError as exc:
                 raise SchemaError(f"--output: {args.output}: {exc.strerror or exc}") from exc
         else:
-            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.write(text)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

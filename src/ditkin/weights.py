@@ -2,13 +2,15 @@
 
 A weight family is a strictly positive rational sequence built from a small
 closed grammar: constants, affine ramps ``a + b*n``, interleavings that pick
-a sub-rule by residue class, and finite prefix overrides.  The grammar is
-closed under flattening into an *eventual form*: beyond a start index the
-sequence is an interleaving of affine arms with nonnegative slope, one arm
-per residue class modulo a fixed modulus.  That normal form is what turns
-the asymptotic questions needed downstream (tail infimum, supremum, liminf,
-monotonicity) into finite exact computations on rationals, instead of
-numeric estimates with error terms.
+a sub-rule by residue class, and finite prefix overrides.  Beyond a start
+index every member flattens into a *leaf form*: one affine leaf with
+nonnegative slope per reachable grammar leaf, on a residue class found by
+the Chinese remainder theorem.  That normal form, whose size follows the
+input, turns the asymptotic questions needed downstream (tail infimum,
+supremum, liminf, monotonicity, the dyadic jump sum) into finite exact
+computations on rationals, instead of numeric estimates with error terms.
+The dense *eventual form*, one arm per residue modulo the lcm of all
+interleave part counts, is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import functools
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DivergentVariationError, SchemaError
 
 MAX_FAMILY_DEPTH = 64  # nesting budget of a parsed weight family
-MAX_ARMS = 1 << 16  # budget of the eventual form: arms = lcm of the interleave moduli
+MAX_ARMS = 1 << 16  # budget of a leaf modulus, and of the dense form's arms (lcm of all moduli)
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -117,10 +119,11 @@ class WeightClassification:
 
 @dataclass(frozen=True)
 class EventualForm:
-    """Normal form valid for n >= start: alpha_n = arms[n % modulus] at n.
+    """Dense normal form valid for n >= start: alpha_n = arms[n % modulus] at n.
 
-    Each arm is an (offset, slope) pair with slope >= 0, so the restriction
-    of the sequence to any residue class is eventually nondecreasing.
+    Each arm is an (offset, slope) pair with slope >= 0.  Its size is the
+    lcm of the interleave part counts, exponential in the input, so no query
+    reads it: it is the oracle that the leaf form is checked against.
     """
 
     start: int
@@ -130,18 +133,25 @@ class EventualForm:
     def arm(self, n: int) -> tuple[Fraction, Fraction]:
         return self.arms[n % self.modulus]
 
-    def value_at(self, n: int) -> Fraction:
-        a, b = self.arm(n)
-        return a + b * n
 
-    def first_in_class(self, residue: int, at_or_after: int) -> int:
-        """Smallest n >= at_or_after with n % modulus == residue."""
-        return at_or_after + ((residue - at_or_after) % self.modulus)
+@dataclass(frozen=True)
+class LeafForm:
+    """Sparse normal form valid for n >= start: alpha_n = offset + slope*n
+    on the leaf (residue, modulus, offset, slope) whose class holds n.
+
+    The leaves' classes partition the integers, every class is met by the
+    sequence, and every slope is >= 0; the start is the dense form's start.
+    """
+
+    start: int
+    leaves: tuple[tuple[int, int, Fraction, Fraction], ...]
 
 
 class WeightFamily:
     """Base class of the weight grammar; concrete families below.  Only this
-    module reads the eventual form: every index search is a method here."""
+    module reads a normal form: every index search is a method here.  Each
+    family caches its leaf form (`_leaves`) and classification per object,
+    in the instance dict, so they take no part in __eq__ or __hash__."""
 
     def at(self, n: int) -> Fraction:
         """Exact value of alpha_n for n >= 1."""
@@ -153,33 +163,24 @@ class WeightFamily:
     def to_obj(self) -> dict:
         raise NotImplementedError
 
-    @functools.cached_property
-    def _form(self) -> EventualForm:
-        # one cache lookup per object: the lookup hashes the whole family tree.
-        # Cached in the instance dict, it takes no part in __eq__ or __hash__.
-        return eventual_form(self)
-
     def _first(self, at_or_after: int, hit, arm_first) -> int | None:
         """Smallest n >= at_or_after with hit(alpha_n), or None when there is none.
 
-        Below the eventual start hit tests each value.  Past it, arm_first(a,
-        b, n0) takes an arm a + b*n and its first index n0 in range, and gives
-        the point from which the arm qualifies (None if never); the arm's
-        answer is its first index from there.  Arms are visited in the order
-        of n0, so the search stops at the first n0 past the best answer.
+        Below the start of the leaf form hit tests each value.  Past it,
+        arm_first(a, b, n0) takes a leaf a + b*n and its first index n0 in
+        range, and gives the point from which the leaf qualifies (None if
+        never); the leaf's answer is its first index from there.
         """
-        ef = self._form
-        for j in range(at_or_after, ef.start):
+        form = self._leaves
+        for j in range(at_or_after, form.start):
             if hit(self.at(j)):
                 return j
-        base, best = max(at_or_after, ef.start), math.inf
-        for n0 in range(base, base + ef.modulus):
-            if n0 >= best:
-                break
-            m = arm_first(*ef.arm(n0), n0)
-            if m is not None:
-                best = min(best, ef.first_in_class(n0 % ef.modulus, m))
-        return None if best == math.inf else best
+        base, found = max(at_or_after, form.start), []
+        for r, m, a, b in form.leaves:
+            n = arm_first(a, b, base + (r - base) % m)
+            if n is not None:
+                found.append(n + (r - n) % m)
+        return min(found, default=None)
 
     def first_above(self, t: Fraction, at_or_after: int = 1) -> int | None:
         """Smallest n >= at_or_after with alpha_n > t; None when the weights stay <= t."""
@@ -194,14 +195,14 @@ class WeightFamily:
 
     def first_at_most(self, t: Fraction, at_or_after: int) -> int | None:
         """Smallest n >= at_or_after with alpha_n <= t, or None."""
-        # arms are nondecreasing, so an arm qualifies at its first index or never
+        # leaves are nondecreasing, so a leaf qualifies at its first index or never
         return self._first(
             at_or_after, lambda v: v <= t, lambda a, b, n0: n0 if a + b * n0 <= t else None
         )
 
     def first_attaining(self, level: Fraction, at_or_after: int) -> int | None:
-        """Smallest n >= at_or_after with alpha_n == level below the eventual
-        start, or on a constant arm at that level past it; None if there is none."""
+        """Smallest n >= at_or_after with alpha_n == level below the leaf form's
+        start, or on a constant leaf at that level past it; None if there is none."""
         return self._first(
             at_or_after,
             lambda v: v == level,
@@ -212,61 +213,64 @@ class WeightFamily:
         """Exact inf{alpha_j : j >= n} with the earliest attaining index."""
         if n < 1:
             raise ValueError("index must be >= 1")
-        ef = self._form
-        lo = max(n, ef.start)
-        best: tuple[Fraction, int] | None = None
-        for j in range(n, lo):
-            v = self.at(j)
-            if best is None or (v, j) < best:
-                best = (v, j)
-        for r in range(ef.modulus):
-            j = ef.first_in_class(r, lo)
-            # slope >= 0, so the arm's minimum over its progression sits at
-            # its first index; for slope 0 that is also the earliest attainer.
-            v = ef.value_at(j)
-            if best is None or (v, j) < best:
-                best = (v, j)
-        assert best is not None
-        return TailInf(at_index=n, value=best[0], attained_at=best[1])
+        form = self._leaves
+        lo = max(n, form.start)
+        candidates = [(self.at(j), j) for j in range(n, lo)]
+        for r, m, a, b in form.leaves:
+            j = lo + (r - lo) % m  # slope >= 0: the leaf's least value comes first here
+            candidates.append((a + b * j, j))
+        value, j = min(candidates)
+        return TailInf(at_index=n, value=value, attained_at=j)
 
     def classify(self) -> WeightClassification:
         """Exact boundedness / liminf / monotonicity classification."""
-        ef = self._form
-        prefix_vals = [self.at(j) for j in range(1, ef.start)]
+        return self._classification
 
-        if any(b > 0 for _, b in ef.arms):
-            sup = None
-        else:
-            sup = max(prefix_vals + [a for a, _ in ef.arms])
-
-        constant_offsets = [a for a, b in ef.arms if b == 0]
-        liminf = min(constant_offsets) if constant_offsets else None
-
-        nondecreasing = all(
-            self.at(j + 1) >= self.at(j) for j in range(1, ef.start)
+    @functools.cached_property
+    def _classification(self) -> WeightClassification:
+        form = self._leaves
+        prefix_vals = [self.at(j) for j in range(1, form.start)]
+        offsets = [a for _, _, a, _ in form.leaves]
+        slopes = [b for *_, b in form.leaves]
+        sup = None if any(slopes) else max(prefix_vals + offsets)
+        liminf = min((a for a, b in zip(offsets, slopes) if not b), default=None)
+        nondecreasing = (
+            all(self.at(j + 1) >= self.at(j) for j in range(1, form.start))
+            # with mixed slopes some step around the cycle of residues lowers it
+            and slopes.count(slopes[0]) == len(slopes)
+            and _steps_nondecreasing(form.leaves, slopes[0])
         )
-        if nondecreasing:
-            for r in range(ef.modulus):
-                a1, b1 = ef.arms[r]
-                a2, b2 = ef.arms[(r + 1) % ef.modulus]
-                # successor gap D(n) = alpha_{n+1} - alpha_n is affine in n on
-                # the class n = r (mod M); slope sigma decides the far tail and
-                # the first class member decides the near end.
-                sigma = b2 - b1
-                if sigma < 0:
-                    nondecreasing = False
-                    break
-                n_r = ef.first_in_class(r, ef.start)
-                if a2 + b2 * (n_r + 1) < a1 + b1 * n_r:
-                    nondecreasing = False
-                    break
-
         return WeightClassification(
-            sup=sup,
-            liminf=liminf,
-            nondecreasing=nondecreasing,
-            diverges_to_infinity=liminf is None,
+            sup=sup, liminf=liminf, nondecreasing=nondecreasing, diverges_to_infinity=liminf is None
         )
+
+
+def _steps_nondecreasing(leaves, b: Fraction) -> bool:
+    """Whether alpha_{n+1} >= alpha_n past the start when every leaf has slope b.
+
+    With n on leaf A and n+1 on leaf B the step a_B + b - a_A does not
+    depend on n, and such an n exists iff r_A + 1 = r_B (mod gcd(m_A, m_B)).
+    So A is compared, per modulus mu, with the least a_B + b over the leaves
+    B of modulus mu in that residue class mod gcd(m_A, mu).
+    """
+    by_modulus: dict[int, list] = {}
+    for r, m, a, _ in leaves:
+        by_modulus.setdefault(m, []).append((r, a))
+    tables: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for r, m, a, _ in leaves:
+        for mu, members in by_modulus.items():
+            g = math.gcd(m, mu)
+            table = tables.get((mu, g))
+            if table is None:
+                table = tables[mu, g] = {}
+                for rb, ab in members:
+                    if rb % g not in table or ab < table[rb % g]:
+                        table[rb % g] = ab
+            least = table.get((r + 1) % g)
+            # b >= 0, so a > least is tested first to skip most additions
+            if least is not None and a > least and a > least + b:
+                return False
+    return True
 
 
 @functools.lru_cache(maxsize=256)
@@ -277,43 +281,52 @@ def eventual_form(w: WeightFamily) -> EventualForm:
 def dyadic_jump_tail(w: WeightFamily, start: int) -> Fraction:
     """Exact sum of alpha_j * |Δf(j)| over the dyadic jumps j = 2^k - 1 >= start.
 
-    Each jump contributes alpha_{2^k-1} * 2^{-(k+1)}.  Beyond the weight
-    family's eventual form, the residue of 2^k - 1 evolves by r -> 2r + 1
-    (mod M), so the weights met by the jumps are eventually periodic: the sum
-    is a finite part plus a geometric series, both exact.  Raises
-    DivergentVariationError when a growing arm recurs in the cycle, in which
-    case the series has no finite value at all.
+    Each jump contributes alpha_{2^k-1} * 2^{-(k+1)}.  Past the start of the
+    leaf form, the residue of 2^k - 1 modulo a leaf modulus mu evolves by
+    x -> 2x + 1 (mod mu), so it is eventually periodic: each leaf of modulus
+    mu is met finitely often before the cycle and, if on it, once per turn
+    of the cycle, a geometric series.  Both parts are exact.  Raises
+    DivergentVariationError when a growing leaf recurs in the cycle, in
+    which case the series has no finite value at all.
     """
     if start < 1:
         raise ValueError("start must be >= 1")
-    ef = w._form
+    form = w._leaves
     k = 1
     while (1 << k) - 1 < start:
         k += 1
     total = Fraction(0)
-    while (1 << k) - 1 < ef.start:
+    while (1 << k) - 1 < form.start:
         total += w.at((1 << k) - 1) * Fraction(1, 1 << (k + 1))
         k += 1
-    seen: dict[int, tuple[int, Fraction]] = {}
-    r = ((1 << k) - 1) % ef.modulus
-    while r not in seen:
-        seen[r] = (k, total)
-        a, b = ef.arms[r]
-        total += (a + b * ((1 << k) - 1)) * Fraction(1, 1 << (k + 1))
-        k += 1
-        r = (2 * r + 1) % ef.modulus
-    k1, total_at_entry = seen[r]
-    cycle_states = [s for s, (ks, _) in seen.items() if ks >= k1]
-    if any(ef.arms[s][1] > 0 for s in cycle_states):
-        raise DivergentVariationError(
-            "weighted variation of the dyadic element diverges for this family: "
-            "a growing arm recurs on the jump indices"
-        )
-    period = k - k1
-    one_cycle = total - total_at_entry
-    # sum over all repetitions of the cycle: one_cycle / (1 - 2^{-period})
-    scale = Fraction(1 << period, (1 << period) - 1)
-    return total_at_entry + one_cycle * scale
+    by_modulus: dict[int, dict[int, tuple[Fraction, Fraction]]] = {}
+    for r, m, a, b in form.leaves:
+        by_modulus.setdefault(m, {})[r] = (a, b)
+    for mu, leaves in by_modulus.items():
+        seen: dict[int, int] = {}  # residue of 2^j - 1 -> j, in walk order
+        x, j = ((1 << k) - 1) % mu, k
+        while x not in seen:
+            seen[x] = j
+            x, j = (2 * x + 1) % mu, j + 1
+        k1, top, period = seen[x], j, j - seen[x]
+        # hits before the cycle, and on one turn of it, as multiples of 2^{-(top+1)}
+        once, turn = Fraction(0), Fraction(0)
+        for x, j in seen.items():
+            if x not in leaves:
+                continue
+            a, b = leaves[x]
+            if j < k1:
+                once += (a + b * ((1 << j) - 1)) * (1 << (top - j))
+            elif b > 0:
+                raise DivergentVariationError(
+                    "weighted variation of the dyadic element diverges for this family: "
+                    "a growing arm recurs on the jump indices"
+                )
+            else:
+                turn += a * (1 << (top - j))
+        # every turn of the cycle: turn / (1 - 2^{-period})
+        total += (once + turn * Fraction(1 << period, (1 << period) - 1)) / (1 << (top + 1))
+    return total
 
 
 @dataclass(frozen=True)
@@ -333,6 +346,10 @@ class Constant(WeightFamily):
 
     def _flatten(self) -> EventualForm:
         return EventualForm(start=1, modulus=1, arms=((self.value, Fraction(0)),))
+
+    @functools.cached_property
+    def _leaves(self) -> LeafForm:
+        return LeafForm(1, ((0, 1, self.value, Fraction(0)),))
 
     def to_obj(self) -> dict:
         return {"family": "constant", "value": format_rational(self.value)}
@@ -359,6 +376,10 @@ class Linear(WeightFamily):
 
     def _flatten(self) -> EventualForm:
         return EventualForm(start=1, modulus=1, arms=((self.offset, self.slope),))
+
+    @functools.cached_property
+    def _leaves(self) -> LeafForm:
+        return LeafForm(1, ((0, 1, self.offset, self.slope),))
 
     def to_obj(self) -> dict:
         return {
@@ -393,19 +414,36 @@ class Interleave(WeightFamily):
 
     def _flatten(self) -> EventualForm:
         inner = [eventual_form(p) for p in self.parts]
-        modulus = self.modulus
-        for form in inner:
-            modulus = math.lcm(modulus, form.modulus)
+        modulus = math.lcm(self.modulus, *(form.modulus for form in inner))
         if modulus > MAX_ARMS:
             raise SchemaError(
                 f"interleave: the eventual form would need {modulus} arms, over the cap of {MAX_ARMS}"
             )
-        start = max([1] + [form.start for form in inner])
-        arms = []
-        for r in range(modulus):
-            form = inner[r % self.modulus]
-            arms.append(form.arms[r % form.modulus])
-        return EventualForm(start=start, modulus=modulus, arms=tuple(arms))
+        arms: list = [None] * modulus
+        for i, form in enumerate(inner):
+            # on the class r = i (mod M), r % form.modulus repeats every `period` steps
+            period = form.modulus // math.gcd(self.modulus, form.modulus)
+            cycle = [form.arm(i + self.modulus * t) for t in range(period)]
+            arms[i :: self.modulus] = cycle * (modulus // self.modulus // period)
+        return EventualForm(max(form.start for form in inner), modulus, tuple(arms))
+
+    @functools.cached_property
+    def _leaves(self) -> LeafForm:
+        M, leaves = self.modulus, []
+        for i, part in enumerate(self.parts):
+            for r, m, a, b in part._leaves.leaves:
+                # n = i (mod M) and n = r (mod m) meet iff i = r (mod gcd)
+                g = math.gcd(M, m)
+                if (i - r) % g:
+                    continue
+                lcm = M // g * m
+                if lcm > MAX_ARMS:
+                    raise SchemaError(
+                        f"interleave: a leaf would need modulus {lcm}, over the cap of {MAX_ARMS}"
+                    )
+                t = (r - i) // g * pow(M // g, -1, m // g) % (m // g)  # n = i + M*t
+                leaves.append((i + M * t, lcm, a, b))
+        return LeafForm(max(p._leaves.start for p in self.parts), tuple(leaves))
 
     def to_obj(self) -> dict:
         return {
@@ -439,11 +477,12 @@ class PrefixOverride(WeightFamily):
 
     def _flatten(self) -> EventualForm:
         form = eventual_form(self.tail)
-        return EventualForm(
-            start=max(form.start, len(self.prefix) + 1),
-            modulus=form.modulus,
-            arms=form.arms,
-        )
+        return replace(form, start=max(form.start, len(self.prefix) + 1))
+
+    @functools.cached_property
+    def _leaves(self) -> LeafForm:
+        form = self.tail._leaves
+        return replace(form, start=max(form.start, len(self.prefix) + 1))
 
     def to_obj(self) -> dict:
         return {

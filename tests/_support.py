@@ -1,8 +1,10 @@
-"""Shared random generators and hypothesis strategies for the test suite.
+"""Shared random generators, hypothesis strategies and oracles for the test suite.
 
 Acceptance criteria use seeded random.Random so the counted trials are
 reproducible; unit-level property tests use hypothesis strategies built on
-the same grammar.
+the same grammar.  The dense oracles answer the weight queries from the
+dense eventual form, one arm per residue modulo the lcm of all interleave
+part counts, independently of the leaf form the library reads.
 """
 
 from __future__ import annotations
@@ -14,12 +16,15 @@ from hypothesis import strategies as st
 
 from ditkin import (
     Constant,
+    DivergentVariationError,
     EventuallyConstant,
     Interleave,
     Linear,
     PrefixOverride,
+    TailInf,
     WeightFamily,
 )
+from ditkin.weights import eventual_form
 
 
 def random_fraction(
@@ -139,3 +144,105 @@ def exact_elements(tail=small_fractions):
 
 def m_infinity_elements():
     return exact_elements(tail=st.just(Fraction(0)))
+
+
+# ---------------------------------------------------------------------------
+# dense-form oracles
+
+
+def _dense_first_index(ef, residue: int, at_or_after: int) -> int:
+    """Smallest n >= at_or_after with n % ef.modulus == residue."""
+    return at_or_after + (residue - at_or_after) % ef.modulus
+
+
+def dense_tail_infimum(w: WeightFamily, n: int) -> TailInf:
+    """inf{alpha_j : j >= n} and its earliest attainer, comparing every dense arm."""
+    ef = eventual_form(w)
+    lo = max(n, ef.start)
+    best = min((w.at(j), j) for j in range(n, lo)) if n < lo else None
+    for r, (a, b) in enumerate(ef.arms):
+        j = _dense_first_index(ef, r, lo)
+        if best is None or (a + b * j, j) < best:
+            best = (a + b * j, j)
+    return TailInf(at_index=n, value=best[0], attained_at=best[1])
+
+
+def dense_nondecreasing(w: WeightFamily) -> bool:
+    """Whether alpha_{n+1} >= alpha_n for all n, from each pair of adjacent dense arms."""
+    ef = eventual_form(w)
+    if not all(w.at(j + 1) >= w.at(j) for j in range(1, ef.start)):
+        return False
+    for r in range(ef.modulus):
+        a1, b1 = ef.arms[r]
+        a2, b2 = ef.arms[(r + 1) % ef.modulus]
+        # the successor gap is affine in n on the class r (mod M): its slope
+        # decides the far tail and the first class member the near end
+        n_r = _dense_first_index(ef, r, ef.start)
+        if b2 < b1 or a2 + b2 * (n_r + 1) < a1 + b1 * n_r:
+            return False
+    return True
+
+
+def dense_sup_liminf(w: WeightFamily) -> tuple:
+    """(sup, liminf) with None for an unbounded sequence or an infinite liminf."""
+    ef = eventual_form(w)
+    flat = [a for a, b in ef.arms if b == 0]
+    sup = None
+    if all(b == 0 for _, b in ef.arms):
+        sup = max([w.at(j) for j in range(1, ef.start)] + flat)
+    return sup, (min(flat) if flat else None)
+
+
+def _dense_first(w: WeightFamily, lo: int, hit, arm_first) -> int | None:
+    """The index search over every dense arm; arm_first as in WeightFamily._first."""
+    ef = eventual_form(w)
+    for j in range(lo, ef.start):
+        if hit(w.at(j)):
+            return j
+    base, found = max(lo, ef.start), []
+    for r, (a, b) in enumerate(ef.arms):
+        m = arm_first(a, b, _dense_first_index(ef, r, base))
+        if m is not None:
+            found.append(_dense_first_index(ef, r, m))
+    return min(found, default=None)
+
+
+def dense_searches(w: WeightFamily, t: Fraction, level: Fraction, lo: int) -> tuple:
+    """(first_above(t, lo), first_at_most(t, lo), first_attaining(level, lo)),
+    scanning below the dense start and solving each arm a + b*n past it."""
+    return (
+        _dense_first(
+            w, lo, lambda v: v > t,
+            lambda a, b, n0: max(n0, (t - a) // b + 1) if b else (n0 if a > t else None),
+        ),
+        _dense_first(w, lo, lambda v: v <= t, lambda a, b, n0: n0 if a + b * n0 <= t else None),
+        _dense_first(
+            w, lo, lambda v: v == level, lambda a, b, n0: n0 if b == 0 and a == level else None
+        ),
+    )
+
+
+def dense_dyadic_jump_tail(w: WeightFamily, start: int) -> Fraction:
+    """Sum of alpha_j * 2^{-(k+1)} over j = 2^k - 1 >= start, walking the
+    dense residue r -> 2r + 1 (mod M) until it repeats."""
+    ef = eventual_form(w)
+    k = 1
+    while (1 << k) - 1 < start:
+        k += 1
+    total = Fraction(0)
+    while (1 << k) - 1 < ef.start:
+        total += w.at((1 << k) - 1) * Fraction(1, 1 << (k + 1))
+        k += 1
+    seen = {}
+    r = ((1 << k) - 1) % ef.modulus
+    while r not in seen:
+        seen[r] = (k, total)
+        a, b = ef.arms[r]
+        total += (a + b * ((1 << k) - 1)) * Fraction(1, 1 << (k + 1))
+        k += 1
+        r = (2 * r + 1) % ef.modulus
+    k1, total_at_entry = seen[r]
+    if any(ef.arms[s][1] > 0 for s, (ks, _) in seen.items() if ks >= k1):
+        raise DivergentVariationError("a growing arm recurs on the jump indices")
+    period = k - k1
+    return total_at_entry + (total - total_at_entry) * Fraction(1 << period, (1 << period) - 1)

@@ -282,7 +282,7 @@ class TestPlumbing:
             shown = capsys.readouterr().out
             assert main(argv + ["--output", str(target)]) == 0
             assert capsys.readouterr().out == ""
-            assert target.read_text(encoding="utf-8").rstrip("\n") == shown.rstrip("\n")
+            assert target.read_text(encoding="utf-8") == shown
 
     @pytest.mark.parametrize(
         "where", ["missing/dir/out.json", "."], ids=["missing_dir", "directory"]
@@ -411,13 +411,30 @@ class TestOversizedOutput:
         _assert_one_line_input_error(captured, "... (5000 characters)")
         assert len(captured.err) < 200
 
-    def test_arm_cap_exits_2(self, tmp_path, capsys):
-        # prime part counts 2..47 would need their product, about 6.1e17, arms
+    def test_coprime_part_counts_classify(self, tmp_path, capsys):
+        # prime part counts 2..47: the dense form would need their product,
+        # about 6.1e17, arms; the leaf form has 322 leaves
         primes = [p for p in range(2, 48) if all(p % d for d in range(2, p))]
         leaves = lambda p: [{"family": "constant", "value": str(i + 1)} for i in range(p)]
         doc = {
             "family": "interleave",
             "parts": [{"family": "interleave", "parts": leaves(p)} for p in primes],
         }
+        assert main(["classify", write_json(tmp_path / "w.json", doc)]) == 0
+        assert json.loads(capsys.readouterr().out)["classification"] == {
+            "bounded": True,
+            "sup": "47",
+            "liminf_finite": True,
+            "liminf": "1",
+            "nondecreasing": False,
+            "diverges_to_infinity": False,
+        }
+
+    def test_leaf_modulus_cap_exits_2(self, tmp_path, capsys):
+        # part 0 nested through part counts 2, 3, 5, 7, 11, 13, 17: one leaf
+        # needs modulus 5 * 7 * 11 * 13 * 17 = 85,085 > 65,536
+        doc = {"family": "constant", "value": "1"}
+        for p in (17, 13, 11, 7, 5, 3, 2):
+            doc = {"family": "interleave", "parts": [doc] + [ONE] * (p - 1)}
         assert main(["classify", write_json(tmp_path / "w.json", doc)]) == 2
-        _assert_one_line_input_error(capsys.readouterr(), "cap of 65536")
+        _assert_one_line_input_error(capsys.readouterr(), "modulus 85085, over the cap of 65536")

@@ -3,6 +3,8 @@
 Brute-force oracles here use only weight evaluation (never the eventual
 form's arms), so they are independent of the structural computations they
 check; the attaining-index oracle reads only the form's start and modulus.
+TestLeafForm compares every query read from the leaf form with the dense
+eventual-form oracles in _support.
 """
 
 import time
@@ -14,16 +16,25 @@ from hypothesis import strategies as st
 
 from ditkin import (
     Constant,
+    DivergentVariationError,
     Interleave,
     Linear,
     PrefixOverride,
     SchemaError,
     dyadic_counterexample,
+    property_report,
     weight_family_from_obj,
 )
 from ditkin.weights import MAX_ARMS, MAX_FAMILY_DEPTH, dyadic_jump_tail, echo, eventual_form
 
-from _support import weight_families
+from _support import (
+    dense_dyadic_jump_tail,
+    dense_nondecreasing,
+    dense_searches,
+    dense_sup_liminf,
+    dense_tail_infimum,
+    weight_families,
+)
 
 ODD_EVEN_FAMILY = dyadic_counterexample()[0]
 
@@ -283,21 +294,122 @@ def _constants(count):
     return Interleave(tuple(Constant(i + 1) for i in range(count)))
 
 
+PRIMES_TO_47 = [p for p in range(2, 48) if all(p % d for d in range(2, p))]
+
+
 class TestArmCap:
+    """The dense eventual form, kept as an oracle, is capped at MAX_ARMS arms;
+    queries read the leaf form, whose leaf moduli have the same budget."""
+
     def test_cap_is_inclusive(self):
         w = Interleave((_constants(256), _constants(255)))  # lcm 65,280 <= 65,536
         assert len(eventual_form(w).arms) == 256 * 255 <= MAX_ARMS
         with pytest.raises(SchemaError, match=r"65792 arms, over the cap of 65536"):
-            Interleave((_constants(256), _constants(257))).classify()
+            eventual_form(Interleave((_constants(256), _constants(257))))
 
     def test_coprime_part_counts_rejected_fast(self):
-        # 328 leaves; the dense form would need the product of the primes to 47
-        primes = [p for p in range(2, 48) if all(p % d for d in range(2, p))]
-        w = Interleave(tuple(_constants(p) for p in primes))
+        # 322 leaves; the dense form would need the product of the primes to 47
+        w = Interleave(tuple(_constants(p) for p in PRIMES_TO_47))
         start = time.perf_counter()
         with pytest.raises(SchemaError, match="614889782588491410 arms"):
-            w.classify()
+            eventual_form(w)
         assert time.perf_counter() - start < 1
+
+    def test_coprime_part_counts_classify(self):
+        w = Interleave(tuple(_constants(p) for p in PRIMES_TO_47))
+        start = time.perf_counter()
+        c = w.classify()
+        assert time.perf_counter() - start < 1
+        # every leaf modulus (at most 15 * 47 = 705) has a member in 1..705,
+        # and every leaf is constant: the values there are the limit points
+        values = [w.at(n) for n in range(1, 706)]
+        assert (c.sup, c.liminf) == (max(values), min(values)) == (47, 1)
+        assert not c.nondecreasing and not c.diverges_to_infinity
+
+    def test_leaf_modulus_over_the_cap(self):
+        w = Constant(1)
+        for p in (17, 13, 11, 7, 5, 3, 2):  # part 0 nests through all the counts
+            w = Interleave((w,) + (Constant(2),) * (p - 1))
+        with pytest.raises(SchemaError, match=r"modulus 85085, over the cap of 65536"):
+            w.classify()
+
+
+class TestLeafForm:
+    """Every query read from the leaves against the dense eventual form."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(weight_families(), st.integers(1, 40), st.integers(0, 6), st.integers(-1, 1))
+    def test_matches_dense_form(self, w, lo, ahead, shift):
+        c = w.classify()
+        assert (c.sup, c.liminf) == dense_sup_liminf(w)
+        assert c.nondecreasing == dense_nondecreasing(w)
+        assert w.tail_infimum(lo) == dense_tail_infimum(w, lo)
+        t = w.at(lo + ahead) + Fraction(shift, 7)
+        level = w.at(lo + ahead)
+        assert dense_searches(w, t, level, lo) == (
+            w.first_above(t, lo),
+            w.first_at_most(t, lo),
+            w.first_attaining(level, lo),
+        )
+        if c.sup is not None:
+            assert dyadic_jump_tail(w, lo) == dense_dyadic_jump_tail(w, lo)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.lists(
+            st.lists(st.fractions(0, 3, max_denominator=4), min_size=1, max_size=3),
+            min_size=2,
+            max_size=4,
+        ),
+        st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3)]),
+    )
+    def test_common_slope_steps_match_dense_form(self, offsets, b):
+        # one slope on every leaf, which random families almost never draw:
+        # then the offsets alone decide each step
+        parts = tuple(
+            Linear(a[0], b) if len(a) == 1 else Interleave(tuple(Linear(x, b) for x in a))
+            for a in offsets
+        )
+        w = Interleave(parts)
+        assert w.classify().nondecreasing == dense_nondecreasing(w)
+
+    @settings(deadline=None, max_examples=100)
+    @given(weight_families(), st.integers(1, 40))
+    def test_divergent_jump_sum_matches_dense_form(self, w, lo):
+        try:
+            expected = dense_dyadic_jump_tail(w, lo)
+        except DivergentVariationError:
+            with pytest.raises(DivergentVariationError, match="a growing arm recurs"):
+                dyadic_jump_tail(w, lo)
+        else:
+            assert dyadic_jump_tail(w, lo) == expected
+
+    def test_flat_interleave_is_linear_time(self):
+        w = _constants(1 << 14)
+        start = time.perf_counter()
+        assert w.classify().sup == 1 << 14 and not w.classify().nondecreasing
+        property_report(w)
+        assert time.perf_counter() - start < 1
+
+    def test_wide_interleave_of_interleaves(self):
+        w = Interleave((_constants(256), _constants(255)))
+        start = time.perf_counter()
+        c = w.classify()
+        assert (c.sup, c.liminf, c.nondecreasing) == (255, 1, False)
+        property_report(w)
+        assert time.perf_counter() - start < 1
+
+    def test_jump_sum_walks_each_modulus_once(self):
+        # 4,003 constant leaves of one prime modulus on which 2 has order
+        # 4,002: a walk per leaf would take 4,003 times as many steps
+        w = _constants(4003)
+        start = time.perf_counter()
+        total = dyadic_jump_tail(w, 1)
+        assert time.perf_counter() - start < 1
+        partial = sum(
+            (w.at((1 << k) - 1) * Fraction(1, 1 << (k + 1)) for k in range(1, 60)), Fraction(0)
+        )
+        assert partial <= total <= partial + 4003 * Fraction(1, 1 << 60)
 
 
 def _brute_first(hit, lo, found):
