@@ -15,7 +15,9 @@ interleave part counts, is kept as an independent oracle.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import heapq
 import math
 import re
 import sys
@@ -146,6 +148,14 @@ class LeafForm:
     start: int
     leaves: tuple[tuple[int, int, Fraction, Fraction], ...]
 
+    @functools.cached_property
+    def by_modulus(self) -> dict[int, list[tuple[int, Fraction, Fraction]]]:
+        """The leaves (residue, offset, slope) of each modulus, by residue."""
+        groups: dict[int, list] = {}
+        for r, m, a, b in sorted(self.leaves):  # (r, m) is unique: no offsets compared
+            groups.setdefault(m, []).append((r, a, b))
+        return groups
+
 
 class WeightFamily:
     """Base class of the weight grammar; concrete families below.  Only this
@@ -158,7 +168,11 @@ class WeightFamily:
         raise NotImplementedError
 
     def _flatten(self) -> EventualForm:
-        raise NotImplementedError
+        return EventualForm(1, 1, (self._arm,))  # a grammar leaf: one arm, every index
+
+    @functools.cached_property
+    def _leaves(self) -> LeafForm:
+        return LeafForm(1, ((0, 1, *self._arm),))
 
     def to_obj(self) -> dict:
         raise NotImplementedError
@@ -169,18 +183,23 @@ class WeightFamily:
         Below the start of the leaf form hit tests each value.  Past it,
         arm_first(a, b, n0) takes a leaf a + b*n and its first index n0 in
         range, and gives the point from which the leaf qualifies (None if
-        never); the leaf's answer is its first index from there.
+        never); the leaf's answer is its first index from there.  Leaves are
+        visited in the order of n0, so the search stops at the first n0 past
+        the best answer.
         """
         form = self._leaves
         for j in range(at_or_after, form.start):
             if hit(self.at(j)):
                 return j
-        base, found = max(at_or_after, form.start), []
-        for r, m, a, b in form.leaves:
-            n = arm_first(a, b, base + (r - base) % m)
+        base, best = max(at_or_after, form.start), math.inf
+        groups = [_by_first_index(mu, group, base) for mu, group in form.by_modulus.items()]
+        for n0, m, a, b in heapq.merge(*groups) if len(groups) > 1 else groups[0]:
+            if n0 >= best:
+                break
+            n = arm_first(a, b, n0)
             if n is not None:
-                found.append(n + (r - n) % m)
-        return min(found, default=None)
+                best = min(best, n + (n0 - n) % m)
+        return None if best == math.inf else best
 
     def first_above(self, t: Fraction, at_or_after: int = 1) -> int | None:
         """Smallest n >= at_or_after with alpha_n > t; None when the weights stay <= t."""
@@ -238,14 +257,23 @@ class WeightFamily:
             all(self.at(j + 1) >= self.at(j) for j in range(1, form.start))
             # with mixed slopes some step around the cycle of residues lowers it
             and slopes.count(slopes[0]) == len(slopes)
-            and _steps_nondecreasing(form.leaves, slopes[0])
+            and _steps_nondecreasing(form, slopes[0])
         )
         return WeightClassification(
             sup=sup, liminf=liminf, nondecreasing=nondecreasing, diverges_to_infinity=liminf is None
         )
 
 
-def _steps_nondecreasing(leaves, b: Fraction) -> bool:
+def _by_first_index(mu: int, group: list, base: int):
+    """The leaves (n0, mu, a, b) of one modulus, in the order of their first
+    index n0 >= base; group is that modulus's leaves sorted by residue."""
+    i = bisect.bisect_left(group, (base % mu,))  # (x,) sorts before every (x, a, b)
+    for k in range(i, i + len(group)):
+        r, a, b = group[k % len(group)]
+        yield base + (r - base) % mu, mu, a, b
+
+
+def _steps_nondecreasing(form: LeafForm, b: Fraction) -> bool:
     """Whether alpha_{n+1} >= alpha_n past the start when every leaf has slope b.
 
     With n on leaf A and n+1 on leaf B the step a_B + b - a_A does not
@@ -253,20 +281,15 @@ def _steps_nondecreasing(leaves, b: Fraction) -> bool:
     So A is compared, per modulus mu, with the least a_B + b over the leaves
     B of modulus mu in that residue class mod gcd(m_A, mu).
     """
-    by_modulus: dict[int, list] = {}
-    for r, m, a, _ in leaves:
-        by_modulus.setdefault(m, []).append((r, a))
     tables: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for r, m, a, _ in leaves:
-        for mu, members in by_modulus.items():
+    for r, m, a, _ in form.leaves:
+        for mu, members in form.by_modulus.items():
             g = math.gcd(m, mu)
-            table = tables.get((mu, g))
-            if table is None:
+            if (mu, g) not in tables:
                 table = tables[mu, g] = {}
-                for rb, ab in members:
-                    if rb % g not in table or ab < table[rb % g]:
-                        table[rb % g] = ab
-            least = table.get((r + 1) % g)
+                for rb, ab, _ in members:
+                    table[rb % g] = min(ab, table.get(rb % g, ab))
+            least = tables[mu, g].get((r + 1) % g)
             # b >= 0, so a > least is tested first to skip most additions
             if least is not None and a > least and a > least + b:
                 return False
@@ -299,11 +322,8 @@ def dyadic_jump_tail(w: WeightFamily, start: int) -> Fraction:
     while (1 << k) - 1 < form.start:
         total += w.at((1 << k) - 1) * Fraction(1, 1 << (k + 1))
         k += 1
-    by_modulus: dict[int, dict[int, tuple[Fraction, Fraction]]] = {}
-    for r, m, a, b in form.leaves:
-        by_modulus.setdefault(m, {})[r] = (a, b)
-    for mu, leaves in by_modulus.items():
-        seen: dict[int, int] = {}  # residue of 2^j - 1 -> j, in walk order
+    for mu, group in form.by_modulus.items():
+        seen: dict[int, int] = {}  # residue of 2^j - 1 -> j
         x, j = ((1 << k) - 1) % mu, k
         while x not in seen:
             seen[x] = j
@@ -311,10 +331,10 @@ def dyadic_jump_tail(w: WeightFamily, start: int) -> Fraction:
         k1, top, period = seen[x], j, j - seen[x]
         # hits before the cycle, and on one turn of it, as multiples of 2^{-(top+1)}
         once, turn = Fraction(0), Fraction(0)
-        for x, j in seen.items():
-            if x not in leaves:
+        for r, a, b in group:
+            j = seen.get(r)
+            if j is None:
                 continue
-            a, b = leaves[x]
             if j < k1:
                 once += (a + b * ((1 << j) - 1)) * (1 << (top - j))
             elif b > 0:
@@ -344,12 +364,9 @@ class Constant(WeightFamily):
             raise ValueError("index must be >= 1")
         return self.value
 
-    def _flatten(self) -> EventualForm:
-        return EventualForm(start=1, modulus=1, arms=((self.value, Fraction(0)),))
-
-    @functools.cached_property
-    def _leaves(self) -> LeafForm:
-        return LeafForm(1, ((0, 1, self.value, Fraction(0)),))
+    @property
+    def _arm(self) -> tuple[Fraction, Fraction]:
+        return self.value, Fraction(0)
 
     def to_obj(self) -> dict:
         return {"family": "constant", "value": format_rational(self.value)}
@@ -374,12 +391,9 @@ class Linear(WeightFamily):
             raise ValueError("index must be >= 1")
         return self.offset + self.slope * n
 
-    def _flatten(self) -> EventualForm:
-        return EventualForm(start=1, modulus=1, arms=((self.offset, self.slope),))
-
-    @functools.cached_property
-    def _leaves(self) -> LeafForm:
-        return LeafForm(1, ((0, 1, self.offset, self.slope),))
+    @property
+    def _arm(self) -> tuple[Fraction, Fraction]:
+        return self.offset, self.slope
 
     def to_obj(self) -> dict:
         return {

@@ -23,6 +23,7 @@ from ditkin import (
     SchemaError,
     dyadic_counterexample,
     property_report,
+    select_ai_subsequence,
     weight_family_from_obj,
 )
 from ditkin.weights import MAX_ARMS, MAX_FAMILY_DEPTH, dyadic_jump_tail, echo, eventual_form
@@ -397,6 +398,18 @@ class TestLeafForm:
         c = w.classify()
         assert (c.sup, c.liminf, c.nondecreasing) == (255, 1, False)
         property_report(w)
+        assert time.perf_counter() - start < 1
+
+    def test_wide_selection_stops_at_the_first_leaf(self):
+        # 65,535 constant leaves at the liminf and one growing leaf, all of
+        # modulus 65,536: each search stops at the first leaf in index order,
+        # where one visiting every leaf took about 0.1 s per selected index
+        w = Interleave((Constant(1), Linear(1, 1)) + (Constant(1),) * 65534)
+        w.classify()
+        start = time.perf_counter()
+        expected = tuple(range(2, 2 + (1 << 14)))
+        assert select_ai_subsequence(w, 1 << 14).indices == expected
+        assert select_ai_subsequence(w, 1 << 14, Fraction(1, 2)).indices == expected
         assert time.perf_counter() - start < 1
 
     def test_jump_sum_walks_each_modulus_once(self):
