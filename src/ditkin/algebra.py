@@ -11,10 +11,13 @@ certified rational interval, never a float.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, compress, groupby, islice, repeat
 from typing import Callable
 
 from .errors import (
@@ -33,6 +36,7 @@ from .weights import (
 )
 
 DEFAULT_HORIZON = 1 << 16
+MAX_RUNS = 1 << 16  # the JSON budget of an element's runs, and the longest prefix it writes out
 
 
 class _Infinity:
@@ -247,48 +251,90 @@ class Element:
             "membership is only decidable for eventually-constant and dyadic elements"
         )
 
-    def _binary(self, other, op) -> "EventuallyConstant":
-        if not (isinstance(self, EventuallyConstant) and isinstance(other, EventuallyConstant)):
-            raise UnsupportedOperandKind(
-                "pointwise arithmetic is closed only on eventually-constant elements"
-            )
-        n = max(len(self.prefix), len(other.prefix))
-        values = [op(self.at(j), other.at(j)) for j in range(1, n + 1)]
-        return EventuallyConstant(tuple(values), op(self.tail, other.tail))
+    def _pointwise(self, other, op) -> "EventuallyConstant":
+        raise UnsupportedOperandKind(
+            "pointwise arithmetic is closed only on eventually-constant elements"
+        )
 
     def __add__(self, other):
-        return self._binary(other, lambda x, y: x + y)
+        return self._pointwise(other, operator.add)
 
     def __sub__(self, other):
-        return self._binary(other, lambda x, y: x - y)
+        return self._pointwise(other, operator.sub)
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            return self._binary(other, lambda x, y: x * y)
+            return self._pointwise(other, operator.mul)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EventuallyConstant(Element):
     """f(n) = prefix[n-1] up to the prefix length, then a constant tail.
 
-    The canonical form trims trailing prefix entries equal to the tail, so
-    structural equality coincides with pointwise equality.
+    Stored in scaled integers and runs: a common denominator D, the run ends
+    e_1 < ... < e_r, one numerator per run (f = nums[i]/D on the indices
+    (e_{i-1}, e_i]) and the tail numerator.  The form is canonical (D and
+    the numerators share no factor, adjacent runs differ, the last run
+    differs from the tail), so structural equality coincides with pointwise
+    equality, and time and memory follow the runs, not the largest index.
     """
 
-    prefix: tuple[Fraction, ...] = ()
-    tail: Fraction = Fraction(0)
+    den: int
+    ends: tuple[int, ...]
+    nums: tuple[int, ...]
+    tail_num: int
 
-    def __post_init__(self):
-        pre = tuple(v if type(v) is Fraction else Fraction(v) for v in self.prefix)
-        t = self.tail if type(self.tail) is Fraction else Fraction(self.tail)
-        while pre and pre[-1] == t:
-            pre = pre[:-1]
-        object.__setattr__(self, "prefix", pre)
-        object.__setattr__(self, "tail", t)
+    def __init__(self, prefix=(), tail=Fraction(0)):
+        self._set_runs(((v, len(list(g))) for v, g in groupby(prefix)), tail)
+
+    @classmethod
+    def from_runs(cls, runs, tail=Fraction(0)) -> "EventuallyConstant":
+        """The value v on each run (v, length) in turn, then the tail."""
+        return object.__new__(cls)._set_runs(runs, tail)
+
+    @classmethod
+    def _of(cls, den: int, ends, nums, tail: int) -> "EventuallyConstant":
+        return object.__new__(cls)._set(den, ends, nums, tail)
+
+    def _set_runs(self, runs, tail) -> "EventuallyConstant":
+        runs = [(v if type(v) is Fraction else Fraction(v), n) for v, n in runs]
+        if any(n < 1 for _, n in runs):
+            raise ValueError("run lengths must be >= 1")
+        t = Fraction(tail)
+        den = math.lcm(t.denominator, *{v.denominator for v, _ in runs})
+        nums = [v.numerator * (den // v.denominator) for v, _ in runs]
+        return self._set(den, accumulate(n for _, n in runs), nums, t.numerator * (den // t.denominator))
+
+    def _set(self, den: int, ends, nums, tail: int) -> "EventuallyConstant":
+        # a run is kept iff it differs from the next run (or the tail): that
+        # merges equal neighbours into their last run and drops tail runs
+        keep = list(map(operator.ne, nums, chain(islice(nums, 1, None), (tail,))))
+        nums = list(compress(nums, keep))
+        g = math.gcd(den, tail, *nums)
+        if g > 1:
+            den, tail, nums = den // g, tail // g, [x // g for x in nums]
+        self.__dict__.update(den=den, ends=tuple(compress(ends, keep)), nums=tuple(nums), tail_num=tail)
+        return self
+
+    @property
+    def runs(self) -> tuple[tuple[Fraction, int], ...]:
+        """The canonical (value, length) runs before the tail."""
+        starts = (0,) + self.ends
+        return tuple(
+            (Fraction(x, self.den), e - s) for x, s, e in zip(self.nums, starts, self.ends)
+        )
+
+    @property
+    def prefix(self) -> tuple[Fraction, ...]:
+        return tuple(v for v, n in self.runs for _ in range(n))
+
+    @property
+    def tail(self) -> Fraction:
+        return Fraction(self.tail_num, self.den)
 
     def at(self, p) -> Fraction:
         if p is INFINITY:
@@ -296,44 +342,70 @@ class EventuallyConstant(Element):
         n = int(p)
         if n < 1:
             raise ValueError("points of N start at 1")
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
-        return self.tail
+        i = bisect.bisect_left(self.ends, n)
+        return Fraction(self.nums[i] if i < len(self.nums) else self.tail_num, self.den)
 
     @property
     def support(self) -> int:
         """Largest n with f(n) != 0 (0 for the zero element); needs tail 0."""
-        if self.tail != 0:
+        if self.tail_num != 0:
             raise ValueError("support is only defined for eventually-zero elements")
-        return len(self.prefix)
+        return self.ends[-1] if self.ends else 0
 
     def scale(self, c) -> "EventuallyConstant":
         c = Fraction(c)
-        return EventuallyConstant(tuple(c * v for v in self.prefix), c * self.tail)
+        p = c.numerator
+        return self._of(self.den * c.denominator, self.ends, [p * x for x in self.nums], p * self.tail_num)
+
+    def _pointwise(self, other, op) -> "EventuallyConstant":
+        if not isinstance(other, EventuallyConstant):
+            return super()._pointwise(other, op)
+        if op is operator.mul:
+            den, a, b = self.den * other.den, 1, 1
+        else:
+            den = math.lcm(self.den, other.den)
+            a, b = den // self.den, den // other.den
+        ends = sorted(set(self.ends).union(other.ends))
+        vals = list(map(op, self._on(ends, a), other._on(ends, b)))
+        return self._of(den, ends, vals[:-1], vals[-1])
+
+    def _on(self, ends: list[int], c: int) -> list[int]:
+        """c times the numerator on each run of `ends`, a refinement of the
+        run ends, and then c times the tail numerator."""
+        vals = self.nums + (self.tail_num,)
+        if len(ends) > len(self.ends):  # ends splits some run: look each one up
+            vals = [vals[i] for i in map(bisect.bisect_left, repeat(self.ends), ends)] + [self.tail_num]
+        return [c * x for x in vals]
 
     @functools.cached_property
-    def _sups(self) -> list[Fraction]:
-        # _sups[i] = sup |f(j)| over j > len(prefix) - i.  Cached in the
-        # instance dict, the memo takes no part in __eq__, __hash__ or __repr__.
-        return list(accumulate(map(abs, reversed(self.prefix)), max, initial=abs(self.tail)))
+    def _sups(self) -> list[int]:
+        # _sups[i] = max |numerator| from run i on, the tail included.  Cached
+        # in the instance dict, the memo takes no part in ==, hash or repr.
+        return list(accumulate(map(abs, reversed(self.nums)), max, initial=abs(self.tail_num)))[::-1]
 
     @functools.cached_property
-    def _sums(self) -> dict[WeightFamily, list[Fraction]]:
-        return {}  # per weight family, the partial jump sums over the prefix
+    def _sums(self) -> dict[WeightFamily, tuple[int, list[int]]]:
+        # per weight family: D_w and the suffix sums, from run i on, of the
+        # scaled jumps D_w * alpha_e * |nums[i+1] - nums[i]| at the run ends e
+        return {}
 
     def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
-        return NormResult.exact(self._sups[max(len(self._sups) - start, 0)])
+        i = bisect.bisect_left(self.ends, start)  # the run holding start
+        return NormResult.exact(Fraction(self._sups[i], self.den))
 
     def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
-        # every jump sits inside the prefix
-        if not self.prefix:  # also keeps the shared ZERO and ONE free of memo entries
+        # every jump sits at a run end
+        if not self.ends:  # also keeps the shared ZERO and ONE free of memo entries
             return NormResult.exact(0)
-        sums = self._sums.get(w)
-        if sums is None:
-            n = len(self.prefix)
-            jumps = (w.at(j) * abs(self.at(j + 1) - self.at(j)) for j in range(1, n + 1))
-            sums = self._sums[w] = list(accumulate(jumps, initial=Fraction(0)))
-        return NormResult.exact(sums[-1] - sums[min(start, len(sums)) - 1])
+        memo = self._sums.get(w)
+        if memo is None:
+            dw, alphas = w.scaled_at(self.ends)
+            nxt = self.nums[1:] + (self.tail_num,)
+            jumps = [a * abs(y - x) for a, x, y in zip(alphas, self.nums, nxt)]
+            memo = self._sums[w] = dw, list(accumulate(reversed(jumps), initial=0))[::-1]
+        dw, sums = memo
+        i = bisect.bisect_left(self.ends, start)  # the first jump at or past start
+        return NormResult.exact(Fraction(sums[i], self.den * dw))
 
     def in_ideal(self, spec: IdealSpec) -> bool:
         for p in spec.zero_set.points:
@@ -485,11 +557,11 @@ _UNIT_WEIGHTS = Constant(Fraction(1))
 
 def element_to_obj(f: Element) -> dict:
     if isinstance(f, EventuallyConstant):
-        return {
-            "kind": "eventually_constant",
-            "prefix": [format_rational(v) for v in f.prefix],
-            "tail": format_rational(f.tail),
-        }
+        if (f.ends or (0,))[-1] <= MAX_RUNS:
+            body = {"prefix": [format_rational(v) for v in f.prefix]}
+        else:
+            body = {"runs": [[format_rational(v), n] for v, n in f.runs]}
+        return {"kind": "eventually_constant", **body, "tail": format_rational(f.tail)}
     if isinstance(f, DyadicDecay) and f.coefficient == 1:
         return {"kind": "dyadic_decay"}
     raise SchemaError("only exact elements and the unit staircase have a serialized form")
@@ -500,14 +572,28 @@ def element_from_obj(obj: object, path: str = "element") -> Element:
         raise SchemaError(f"{path}: expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "eventually_constant":
-        pre_obj = obj.get("prefix", [])
-        if not isinstance(pre_obj, list):
-            raise SchemaError(f"{path}.prefix: expected a list")
-        pre = tuple(parse_rational(v, f"{path}.prefix[{i}]") for i, v in enumerate(pre_obj))
+        if "runs" in obj:
+            if "prefix" in obj:
+                raise SchemaError(f"{path}.runs: give either prefix or runs, not both")
+            runs = _runs_from_obj(obj["runs"], f"{path}.runs")
+        else:
+            pre_obj = obj.get("prefix", [])
+            if not isinstance(pre_obj, list):
+                raise SchemaError(f"{path}.prefix: expected a list")
+            runs = [(parse_rational(v, f"{path}.prefix[{i}]"), 1) for i, v in enumerate(pre_obj)]
         tail = parse_rational(obj.get("tail", "0"), f"{path}.tail")
-        return EventuallyConstant(pre, tail)
+        return EventuallyConstant.from_runs(runs, tail)
     if kind == "dyadic_decay":
         return DyadicDecay()
     raise SchemaError(
         f"{path}.kind: unknown tag {echo(kind)} (expected eventually_constant or dyadic_decay)"
     )
+
+
+def _runs_from_obj(obj: object, path: str) -> list[tuple[Fraction, int]]:
+    if not isinstance(obj, list) or len(obj) > MAX_RUNS:
+        raise SchemaError(f"{path}: expected a list of at most {MAX_RUNS} runs")
+    for i, run in enumerate(obj):
+        if not (isinstance(run, list) and len(run) == 2 and type(run[1]) is int and run[1] >= 1):
+            raise SchemaError(f"{path}[{i}]: expected a [value, length] pair, the length a positive integer")
+    return [(parse_rational(v, f"{path}[{i}][0]"), n) for i, (v, n) in enumerate(obj)]

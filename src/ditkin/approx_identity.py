@@ -104,7 +104,7 @@ def prefix_indicator(k: int) -> EventuallyConstant:
     """The indicator of {1, ..., k}: ones up to k, zero beyond and at ∞."""
     if k < 1:
         raise ValueError("index must be >= 1")
-    return EventuallyConstant((Fraction(1),) * k, Fraction(0))
+    return EventuallyConstant.from_runs(((1, k),))
 
 
 def _require_vanishes_at_infinity(f: Element) -> None:

@@ -200,9 +200,7 @@ def relative_unit_witness(
         raise InvalidExcludedSet("points of N start at 1")
     if excluded.contains(x):
         raise InvalidExcludedSet(f"the excluded set must not contain the point {x}")
-    element = EventuallyConstant(
-        (Fraction(1),) * (x - 1) + (Fraction(0),), Fraction(1)
-    )
+    element = EventuallyConstant.from_runs(((1, x - 1), (0, 1)) if x > 1 else ((0, 1),), 1)
     if x == 1:
         norm = 1 + w.at(1)
     else:

@@ -29,7 +29,7 @@ from .errors import DivergentVariationError, SchemaError
 MAX_FAMILY_DEPTH = 64  # nesting budget of a parsed weight family
 MAX_ARMS = 1 << 16  # budget of a leaf modulus, and of the dense form's arms (lcm of all moduli)
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(value: object, path: str = "value") -> Fraction:
@@ -46,8 +46,9 @@ def parse_rational(value: object, path: str = "value") -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         try:
-            if _RATIONAL.fullmatch(text):
-                return Fraction(text)
+            m = _RATIONAL.fullmatch(text)
+            if m:
+                return Fraction(int(m[1]), int(m[2] or 1))
         except (ValueError, ZeroDivisionError):  # past the int digit limit, or "p/0"
             pass
         raise SchemaError(f"{path}: not a rational 'p/q' string: {echo(value)}")
@@ -160,8 +161,9 @@ class LeafForm:
 class WeightFamily:
     """Base class of the weight grammar; concrete families below.  Only this
     module reads a normal form: every index search is a method here.  Each
-    family caches its leaf form (`_leaves`) and classification per object,
-    in the instance dict, so they take no part in __eq__ or __hash__."""
+    family caches its leaf form (`_leaves`), its scaled integer leaves
+    (`_scaled`) and classification per object, in the instance dict, so
+    they take no part in __eq__ or __hash__."""
 
     def at(self, n: int) -> Fraction:
         """Exact value of alpha_n for n >= 1."""
@@ -227,6 +229,37 @@ class WeightFamily:
             lambda v: v == level,
             lambda a, b, n0: n0 if b == 0 and a == level else None,
         )
+
+    def scaled_at(self, indices) -> tuple[int, list[int]]:
+        """(D_w, [D_w * alpha_n for n in indices]) over one common denominator
+        D_w of the family.  Past the leaf form's start each value is read
+        from the scaled leaf holding n, so the cost follows the leaves and
+        the number of indices, not the size of an index."""
+        den, head, classes = self._scaled
+        out = []
+        for n in indices:
+            if n < 1:
+                raise ValueError("index must be >= 1")
+            if n <= len(head):
+                out.append(head[n - 1])
+                continue
+            for mu, leaves in classes:
+                if n % mu in leaves:
+                    a, b = leaves[n % mu]
+                    out.append(a + b * n)
+                    break
+        return den, out
+
+    @functools.cached_property
+    def _scaled(self) -> tuple[int, list[int], list[tuple[int, dict[int, tuple[int, int]]]]]:
+        # D_w, the scaled values before the start, and per modulus the scaled
+        # leaves (offset, slope) by residue
+        form = self._leaves
+        head = [self.at(j) for j in range(1, form.start)]
+        den = math.lcm(*{q.denominator for q in head}, *{q.denominator for *_, a, b in form.leaves for q in (a, b)})
+        groups = form.by_modulus.items()
+        classes = [(mu, {r: (int(a * den), int(b * den)) for r, a, b in g}) for mu, g in groups]
+        return den, [int(q * den) for q in head], classes
 
     def tail_infimum(self, n: int) -> TailInf:
         """Exact inf{alpha_j : j >= n} with the earliest attaining index."""

@@ -33,7 +33,7 @@ from ditkin import (
     residual_norm,
 )
 
-from ditkin.algebra import closed_set_from_obj, dyadic_jump_tail, parse_point
+from ditkin.algebra import MAX_RUNS, closed_set_from_obj, dyadic_jump_tail, parse_point
 
 from _support import exact_elements, small_fractions, weight_families
 
@@ -392,6 +392,19 @@ class TestSerialization:
         ) == {"kind": "eventually_constant", "prefix": ["1", "1/2"], "tail": "0"}
         assert element_to_obj(DYADIC) == {"kind": "dyadic_decay"}
 
+    def test_runs_field(self):
+        f = element_from_obj({"kind": "eventually_constant", "runs": [["1", 3], ["1/2", 2]], "tail": "1/2"})
+        assert f == EventuallyConstant((Fraction(1),) * 3, Fraction(1, 2))
+        assert element_from_obj({"kind": "eventually_constant", "runs": []}) == ZERO
+
+    def test_long_elements_write_runs(self):
+        short = EventuallyConstant.from_runs(((1, MAX_RUNS - 1), (0, 1)), 1)
+        assert element_to_obj(short)["prefix"] == ["1"] * (MAX_RUNS - 1) + ["0"]
+        long = EventuallyConstant.from_runs(((1, MAX_RUNS), (0, 1)), 1)
+        obj = element_to_obj(long)
+        assert obj == {"kind": "eventually_constant", "runs": [["1", MAX_RUNS], ["0", 1]], "tail": "1"}
+        assert element_from_obj(obj) == long
+
     def test_norm_result_shapes(self):
         assert NormResult.exact(Fraction(3, 2)).to_obj() == {"exact": "3/2"}
         assert NormResult.bounds(1, 2, 64).to_obj() == {"lo": "1", "hi": "2", "horizon": 64}
@@ -406,8 +419,27 @@ class TestSerialization:
             (["kind"], "element: expected an object, got list"),
             ({"kind": "eventually_constant", "prefix": "1"}, "element.prefix: expected a list"),
             ({"kind": "k" * 5000}, "'" + "k" * 40 + "'... (5000 characters)"),
+            (
+                {"kind": "eventually_constant", "prefix": ["1"], "runs": [["1", 1]]},
+                "element.runs: give either prefix or runs, not both",
+            ),
+            (
+                {"kind": "eventually_constant", "runs": [["1", 1]] * (MAX_RUNS + 1)},
+                f"element.runs: expected a list of at most {MAX_RUNS} runs",
+            ),
+            ({"kind": "eventually_constant", "runs": "1"}, "element.runs: expected a list of"),
+            ({"kind": "eventually_constant", "runs": [["1", 2, 3]]}, "element.runs[0]: expected a [value, length] pair, the length"),
+            ({"kind": "eventually_constant", "runs": [["1", 0]]}, "element.runs[0]: expected a [value, length] pair, the length a positive integer"),
+            ({"kind": "eventually_constant", "runs": [["1", 1], ["2", True]]}, "element.runs[1]: expected a [value, length] pair"),
+            ({"kind": "eventually_constant", "runs": [["1", "3"]]}, "element.runs[0]: expected a [value, length] pair"),
+            ({"kind": "eventually_constant", "runs": [["1", 1.5]]}, "element.runs[0]: expected a [value, length] pair"),
+            ({"kind": "eventually_constant", "runs": [["0.5", 1]]}, "element.runs[0][0]: not a rational"),
         ],
-        ids=["not_object", "prefix_not_list", "long_kind"],
+        ids=[
+            "not_object", "prefix_not_list", "long_kind", "prefix_and_runs", "too_many_runs",
+            "runs_not_list", "run_not_pair", "zero_length", "bool_length", "string_length",
+            "float_length", "decimal_value",
+        ],
     )
     def test_element_rejections(self, obj, needle):
         with pytest.raises(SchemaError) as exc:

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: subcommands, formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -211,6 +212,21 @@ class TestWitness:
         out = json.loads(capsys.readouterr().out)
         assert out["norm"] == "2"
         assert out["point"] == "inf"
+
+    def test_far_point_costs_its_runs(self, tmp_path, capsys):
+        # the witness 1 - delta_x is two runs however large x is
+        path = write_json(
+            tmp_path / "in.json",
+            {"weights": {"family": "linear", "offset": "1", "slope": "1"}, "point": 10**9, "excluded": {}},
+        )
+        t0 = time.perf_counter()
+        assert main(["witness", path]) == 0
+        assert time.perf_counter() - t0 < 1
+        out = capsys.readouterr().out
+        assert len(out) < 1024
+        assert json.loads(out)["element"] == {
+            "kind": "eventually_constant", "runs": [["1", 10**9 - 1], ["0", 1]], "tail": "1"
+        }
 
     @pytest.mark.parametrize("point", [3, "inf"])
     def test_with_infinity_must_be_a_boolean(self, tmp_path, capsys, point):

@@ -1,0 +1,126 @@
+"""The exact tier in scaled integers and runs, against a list-of-Fraction model.
+
+The model keeps an element as its explicit values f(1..L) and its tail, and
+answers every query by definition: pointwise arithmetic index by index, the
+tail sup as a max and the weighted variation as a sum of every jump.  Weight
+values come from `w.at`, never from the leaf form that `scaled_at` reads.
+"""
+
+import time
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ditkin import EventuallyConstant, residual_norm
+from ditkin.approx_identity import residual_oracle
+from ditkin.weights import eventual_form
+
+from _support import small_fractions, weight_families
+
+VALUES = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(7, 3)]) | small_fractions
+
+
+def raw_runs(tail=VALUES):
+    """(runs, tail) drawn from a few values, so that neighbours and the tail
+    often coincide and the canonical form has runs to merge and drop."""
+    return st.tuples(st.lists(st.tuples(VALUES, st.integers(1, 4)), max_size=6), tail)
+
+
+def expand(runs, tail, length: int) -> list[Fraction]:
+    """The model: f(1..length) written out from (value, length) runs."""
+    vals = [v for v, n in runs for _ in range(n)]
+    return (vals + [tail] * length)[:length]
+
+
+def span(*raws) -> int:
+    return 2 + sum(n for runs, _ in raws for _, n in runs)
+
+
+def values(f: EventuallyConstant, length: int) -> list[Fraction]:
+    return [f.at(j) for j in range(1, length + 1)]
+
+
+def assert_canonical(f: EventuallyConstant) -> None:
+    vals = [v for v, _ in f.runs] + [f.tail]
+    assert all(a != b for a, b in zip(vals, vals[1:]))
+
+
+def model_variation(w, vals: list[Fraction], start: int) -> Fraction:
+    # vals covers every jump: past its end the element is constant
+    return sum(
+        (w.at(j) * abs(vals[j] - vals[j - 1]) for j in range(start, len(vals))), Fraction(0)
+    )
+
+
+class TestAgainstModel:
+    @settings(deadline=None, max_examples=150)
+    @given(raw_runs(), raw_runs(), small_fractions)
+    def test_arithmetic(self, rf, rg, c):
+        f, g, n = EventuallyConstant.from_runs(*rf), EventuallyConstant.from_runs(*rg), span(rf, rg)
+        fv, gv, ft, gt = expand(*rf, n), expand(*rg, n), rf[1], rg[1]
+        assert values(f, n) == fv and f.tail == ft
+        assert f.prefix == tuple(fv[: len(f.prefix)]) and fv[len(f.prefix) :] == [ft] * (n - len(f.prefix))
+        for h, want, tail in [
+            (f + g, [x + y for x, y in zip(fv, gv)], ft + gt),
+            (f - g, [x - y for x, y in zip(fv, gv)], ft - gt),
+            (f * g, [x * y for x, y in zip(fv, gv)], ft * gt),
+            (f.scale(c), [c * x for x in fv], c * ft),
+        ]:
+            assert values(h, n) == want and h.tail == tail
+            assert expand(h.runs, h.tail, n) == want
+            assert_canonical(h)
+
+    @settings(deadline=None, max_examples=150)
+    @given(raw_runs(), raw_runs())
+    def test_equality_is_pointwise(self, rf, rg):
+        f, g, n = EventuallyConstant.from_runs(*rf), EventuallyConstant.from_runs(*rg), span(rf, rg)
+        same = expand(*rf, n) == expand(*rg, n) and rf[1] == rg[1]
+        assert (f == g) == same
+        if same:
+            assert hash(f) == hash(g)
+        rebuilt = EventuallyConstant(tuple(expand(*rf, n)), rf[1])
+        assert rebuilt == f and hash(rebuilt) == hash(f) and rebuilt.runs == f.runs
+        assert_canonical(f)
+
+    @settings(deadline=None, max_examples=100)
+    @given(raw_runs(), weight_families())
+    def test_tail_functionals_from_every_start(self, rf, w):
+        f, vals = EventuallyConstant.from_runs(*rf), expand(*rf, span(rf))
+        for start in range(1, len(vals) + 2):
+            want_sup = max(abs(v) for v in vals[start - 1 :] + [rf[1]])
+            assert f.tail_sup(start, start, 0).value == want_sup
+            assert f.tail_variation(w, start, start, 0).value == model_variation(w, vals, start)
+
+    @settings(deadline=None, max_examples=100)
+    @given(raw_runs(tail=st.just(Fraction(0))), weight_families(), st.integers(1, 30))
+    def test_residual_norm_matches_the_oracle(self, rf, w, k):
+        f = EventuallyConstant.from_runs(*rf)
+        assert residual_norm(f, w, k) == residual_oracle(f, w, k)
+
+
+class TestScaledAt:
+    @settings(deadline=None, max_examples=100)
+    @given(weight_families())
+    def test_matches_at(self, w):
+        start, period = eventual_form(w).start, eventual_form(w).modulus
+        far = 10**9
+        indices = list(range(1, start + 2 * period + 2)) + list(range(far - period, far + period + 1))
+        den, ints = w.scaled_at(indices)
+        assert den >= 1 and len(ints) == len(indices)
+        assert [Fraction(x, den) for x in ints] == [w.at(n) for n in indices]
+
+
+class TestRunsCost:
+    def test_long_zero_prefix_constructs_quickly(self):
+        t0 = time.perf_counter()
+        f = EventuallyConstant((Fraction(0),) * 40000, 0)
+        assert time.perf_counter() - t0 < 0.1
+        assert f.runs == () and f.tail == 0
+
+    def test_far_runs_cost_follows_the_runs(self):
+        far = 10**9
+        f = EventuallyConstant.from_runs(((1, far - 1), (Fraction(1, 2), 1)), 0)
+        g = f * f - f.scale(3)
+        assert g.at(far) == Fraction(1, 4) - Fraction(3, 2) and g.at(far - 1) == -2
+        assert g.support == far and len(g.runs) == 2
