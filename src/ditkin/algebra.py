@@ -384,9 +384,9 @@ class EventuallyConstant(Element):
         return list(accumulate(map(abs, reversed(self.nums)), max, initial=abs(self.tail_num)))[::-1]
 
     @functools.cached_property
-    def _sums(self) -> dict[WeightFamily, tuple[int, list[int]]]:
-        # per weight family: D_w and the suffix sums, from run i on, of the
-        # scaled jumps D_w * alpha_e * |nums[i+1] - nums[i]| at the run ends e
+    def _sums(self) -> dict[int, tuple[WeightFamily, int, list[int]]]:
+        # per weight family, keyed by id(w) as in RuleBased: w, D_w and the suffix sums,
+        # from run i on, of the scaled jumps D_w * alpha_e * |nums[i+1] - nums[i]| at the run ends e
         return {}
 
     def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
@@ -397,13 +397,13 @@ class EventuallyConstant(Element):
         # every jump sits at a run end
         if not self.ends:  # also keeps the shared ZERO and ONE free of memo entries
             return NormResult.exact(0)
-        memo = self._sums.get(w)
+        memo = self._sums.get(id(w))
         if memo is None:
             dw, alphas = w.scaled_at(self.ends)
             nxt = self.nums[1:] + (self.tail_num,)
             jumps = [a * abs(y - x) for a, x, y in zip(alphas, self.nums, nxt)]
-            memo = self._sums[w] = dw, list(accumulate(reversed(jumps), initial=0))[::-1]
-        dw, sums = memo
+            memo = self._sums[id(w)] = w, dw, list(accumulate(reversed(jumps), initial=0))[::-1]
+        _, dw, sums = memo
         i = bisect.bisect_left(self.ends, start)  # the first jump at or past start
         return NormResult.exact(Fraction(sums[i], self.den * dw))
 
@@ -489,11 +489,13 @@ class RuleBased(Element):
         self._value_at = value_at
         self.limit = Fraction(limit)
         self._tail_bound = tail_variation_bound
-        # memo grown to the largest index scanned: f(1..m), |f(1..m)| and, per
-        # family, the partial sums S[i] = sum_{j<=i} alpha_j * |f(j+1) - f(j)|
+        # memo grown to the largest index scanned: f(1..m), |f(1..m)|, the max
+        # of |f| over each full block of _BLOCK indices and, per family, the
+        # partial sums S[i] = sum_{j<=i} alpha_j * |f(j+1) - f(j)|
         self._values: list[Fraction] = []
         self._abs: list[Fraction] = []
-        self._sums: dict[WeightFamily, list[Fraction]] = {}
+        self._blocks: list[Fraction] = []
+        self._sums: dict[int, tuple[WeightFamily, list[Fraction]]] = {}
         if self._tail_bound(1, _UNIT_WEIGHTS) is None:
             raise MissingTailBound(
                 "rule-based elements must certify an unweighted variation tail"
@@ -511,13 +513,21 @@ class RuleBased(Element):
 
     def _scan_to(self, m: int) -> None:
         for n in range(len(self._values) + 1, m + 1):
-            v = Fraction(self._value_at(n))
+            v = self._value_at(n)
+            v = v if type(v) is Fraction else Fraction(v)
             self._values.append(v)
-            self._abs.append(v if v >= 0 else -v)
+            self._abs.append(v if v.numerator >= 0 else -v)
+            if n % _BLOCK == 0:
+                self._blocks.append(max(self._abs[n - _BLOCK :]))
 
     def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
         self._scan_to(end)
-        lo = max(abs(self.limit), max(self._abs[start - 1 : end], default=0))
+        # |f(start..end)| is _abs[start-1:end]: a partial head block, the full
+        # blocks [i, j) and a partial tail block
+        i = min(end, -(-(start - 1) // _BLOCK) * _BLOCK)
+        j = max(i, end // _BLOCK * _BLOCK)
+        window = chain(self._abs[start - 1 : i], self._blocks[i // _BLOCK : j // _BLOCK], self._abs[j:end])
+        lo = max(abs(self.limit), max(window, default=0))
         # beyond the scan, |f(j)| <= |limit| + (unweighted variation tail)
         hi = max(lo, abs(self.limit) + self.tail_bound(end + 1, _UNIT_WEIGHTS))
         return NormResult.bounds(lo, hi, horizon)
@@ -525,9 +535,12 @@ class RuleBased(Element):
     def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
         # the window is the exact difference S[end] - S[start-1] of two memo sums
         self._scan_to(end + 1)
-        sums, v = self._sums.setdefault(w, [Fraction(0)]), self._values
-        for j in range(len(sums), end + 1):
-            sums.append(sums[-1] + w.at(j) * abs(v[j] - v[j - 1]))
+        # keyed by id(w), which the entry keeps alive: hashing a family walks its tree
+        _, sums = self._sums.setdefault(id(w), (w, [Fraction(0)]))
+        v = self._values
+        for j in range(len(sums), end + 1):  # a zero jump repeats the last sum
+            s = sums[-1]
+            sums.append(s if v[j] == v[j - 1] else s + w.at(j) * abs(v[j] - v[j - 1]))
         lo = sums[end] - sums[start - 1]
         return NormResult.bounds(lo, lo + self.tail_bound(end + 1, w), horizon)
 
@@ -553,6 +566,7 @@ class RuleBased(Element):
 
 
 _UNIT_WEIGHTS = Constant(Fraction(1))
+_BLOCK = 32  # indices per block maximum in the rule-based memo
 
 
 def element_to_obj(f: Element) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -202,6 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
+        # a value that starts with a dash and a digit, such as -1/3, is a value,
+        # not an option, so `--slack -1/3` reaches the --slack check
+        p._negative_number_matcher = re.compile(r"^-\d")
         if cmd.input_help:
             p.add_argument("input", help=cmd.input_help)
         for flag, kwargs in cmd.flags:

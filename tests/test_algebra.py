@@ -33,7 +33,7 @@ from ditkin import (
     residual_norm,
 )
 
-from ditkin.algebra import MAX_RUNS, closed_set_from_obj, dyadic_jump_tail, parse_point
+from ditkin.algebra import _BLOCK, MAX_RUNS, closed_set_from_obj, dyadic_jump_tail, parse_point
 
 from _support import exact_elements, small_fractions, weight_families
 
@@ -335,6 +335,51 @@ class TestRuleBasedMemo:
         f.norm(Constant(2))
         assert f == g and (hash(f), repr(f)) == before == (hash(g), repr(g))
         assert f.norm(ODD_EVEN_FAMILY) == g.norm(ODD_EVEN_FAMILY)
+
+
+SPAN = 8 * _BLOCK  # the windows below lie in [1, SPAN]: eight full blocks of the memo
+_blocks = st.integers(0, 7)
+RULE_WINDOWS = st.one_of(
+    # inside one block
+    st.builds(lambda b, x, y: (b * _BLOCK + min(x, y), b * _BLOCK + max(x, y)),
+              _blocks, st.integers(1, _BLOCK), st.integers(1, _BLOCK)),
+    # each end on a block edge or one index past it
+    st.builds(lambda b, c, d, e: tuple(sorted((max(1, b * _BLOCK + d), min(SPAN, c * _BLOCK + e)))),
+              _blocks, st.integers(1, 8), st.integers(0, 1), st.integers(0, 1)),
+    # many blocks
+    st.builds(lambda s, e: (s, SPAN - e), st.integers(1, _BLOCK), st.integers(0, _BLOCK)),
+    # from 1
+    st.builds(lambda e: (1, e), st.integers(1, SPAN)),
+)
+
+
+class TestRuleBasedWindows:
+    """Every rule-based window against a direct scan of value_at, whatever
+    the memo holds when it is asked for."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.lists(st.tuples(small_fractions, st.integers(1, 40)), min_size=1, max_size=24),
+        st.fractions(min_value=-1, max_value=1, max_denominator=9).filter(bool),
+        weight_families(),
+        st.integers(SPAN // 2, SPAN),
+        st.lists(RULE_WINDOWS, min_size=1, max_size=8),
+    )
+    def test_windows_match_a_direct_scan(self, runs, limit, w, grow, windows):
+        # runs of equal values, so that many jumps are zero; the limit from the end of the runs on
+        vals = [v for v, n in runs for _ in range(n)]
+        value = lambda n: vals[n - 1] if n <= len(vals) else limit
+        exact_tail = lambda s, u: sum(
+            (u.at(j) * abs(value(j + 1) - value(j)) for j in range(s, len(vals) + 1)), Fraction(0)
+        )
+        f = RuleBased(value, limit, exact_tail)
+        f.tail_sup(1, grow, grow)  # the memo first grows past most windows
+        f.tail_variation(w, 1, grow, grow)
+        for start, end in windows:
+            sup = max([abs(limit)] + [abs(value(j)) for j in range(start, end + 1)])
+            assert f.tail_sup(start, end, end).lo == sup, (start, end)
+            jumps = [w.at(j) * abs(value(j + 1) - value(j)) for j in range(start, end + 1)]
+            assert f.tail_variation(w, start, end, end).lo == sum(jumps), (start, end)
 
 
 class TestIdeals:

@@ -175,7 +175,9 @@ class TestSelectAi:
         [ODD_EVEN_WEIGHTS, {"family": "linear", "offset": "0", "slope": "1"}],
         ids=["bounded", "divergent"],
     )
-    @pytest.mark.parametrize("slack", [["--slack", "-1"], ["--slack=-1/3"]], ids=["-1", "-1/3"])
+    @pytest.mark.parametrize(
+        "slack", [["--slack", "-1"], ["--slack=-1/3"], ["--slack", "-1/3"]], ids=["-1", "-1/3", "spaced-1/3"]
+    )
     def test_negative_slack_is_input_error(self, tmp_path, capsys, weights, slack):
         path = write_json(tmp_path / "w.json", weights)
         assert main(["select-ai", path] + slack) == 2

@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditkin import EventuallyConstant, residual_norm
+from ditkin import Constant, EventuallyConstant, Interleave, residual_diagnostics, residual_norm
 from ditkin.approx_identity import residual_oracle
 from ditkin.weights import eventual_form
 
@@ -124,3 +124,13 @@ class TestRunsCost:
         g = f * f - f.scale(3)
         assert g.at(far) == Fraction(1, 4) - Fraction(3, 2) and g.at(far - 1) == -2
         assert g.support == far and len(g.runs) == 2
+
+    def test_wide_family_memo_lookup_walks_no_tree(self):
+        # hashing this family walks all 16,385 of its nodes; every residual
+        # below looks the same family up in the element's memo
+        w = Interleave(tuple(Constant(Fraction(k % 7 + 1, 3)) for k in range(16384)))
+        f = EventuallyConstant([Fraction(k % 11 - 5, k % 5 + 1) for k in range(2000)], 0)
+        t0 = time.perf_counter()
+        rows = residual_diagnostics(f, w, list(range(1, 501)))
+        assert time.perf_counter() - t0 < 1
+        assert rows[-1].residual == residual_norm(f, w, 500)
