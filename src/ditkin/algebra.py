@@ -521,6 +521,7 @@ class RuleBased(Element):
                 self._blocks.append(max(self._abs[n - _BLOCK :]))
 
     def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
+        _check_window(start, end)
         self._scan_to(end)
         # |f(start..end)| is _abs[start-1:end]: a partial head block, the full
         # blocks [i, j) and a partial tail block
@@ -534,6 +535,7 @@ class RuleBased(Element):
 
     def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
         # the window is the exact difference S[end] - S[start-1] of two memo sums
+        _check_window(start, end)
         self._scan_to(end + 1)
         # keyed by id(w), which the entry keeps alive: hashing a family walks its tree
         _, sums = self._sums.setdefault(id(w), (w, [Fraction(0)]))
@@ -563,6 +565,11 @@ class RuleBased(Element):
             return None if b is None else abs(c) * b
 
         return RuleBased(lambda n: c * inner_value(n), c * limit, bound)
+
+
+def _check_window(start: int, end: int) -> None:
+    if not 1 <= start <= end + 1:  # start == end + 1 is the empty window of horizon 0
+        raise ValueError(f"window [{start}, {end}]: need 1 <= start <= end + 1")
 
 
 _UNIT_WEIGHTS = Constant(Fraction(1))

@@ -18,6 +18,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby, islice
 
 from .algebra import (
     DEFAULT_HORIZON,
@@ -27,7 +28,7 @@ from .algebra import (
     format_rational,
 )
 from .errors import HorizonExhausted, NotInMInfinityError
-from .weights import WeightClassification, WeightFamily
+from .weights import WeightFamily
 
 DEFAULT_SELECTION_COUNT = 8
 MAX_SELECTION_COUNT = 1 << 16  # the CLI's budget on --count
@@ -165,58 +166,21 @@ def residual_diagnostics(
 def select_ai_subsequence(
     w: WeightFamily, count: int, slack: Fraction | None = None
 ) -> AiSelection:
-    """Select truncation indices forming an approximate identity for the
-    ideal at ∞.
-
-    Divergent weights: the indices attaining their own running tail infimum
-    (kind running_min).  Finite liminf: a norm-bounded selection (kind
-    bounded_bai) — by default the whole initial segment when the weights are
-    bounded, otherwise the indices attaining the liminf; an explicit slack
-    switches to the literal filter alpha_n <= liminf + slack.
-    """
+    """The first count indices of `w.selected_indices(1, slack)`, an
+    approximate identity for the ideal at ∞: kind running_min for divergent
+    weights, else the norm-bounded kind bounded_bai."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    cls = w.classify()
-    liminf = cls.liminf
-    if slack is None or liminf is None:
-        indices = _collect(lambda lo: _next_selected(w, cls, lo), count)
-    else:
-        slack = Fraction(slack)
-        if slack < 0:
-            raise ValueError("slack must be >= 0")
-        threshold = liminf + slack
-        indices = _collect(lambda lo: w.first_at_most(threshold, lo), count)
+    indices = tuple(islice(w.selected_indices(1, slack), count))
     norms = tuple(1 + w.at(n) for n in indices)
-    if liminf is None:
+    cls = w.classify()
+    if cls.liminf is None:
         return AiSelection(kind=KIND_RUNNING_MIN, indices=indices, norms=norms)
     if slack is None:
-        slack = Fraction(0) if cls.sup is None else cls.sup - liminf
+        slack = Fraction(0) if cls.sup is None else cls.sup - cls.liminf
     return AiSelection(
-        kind=KIND_BOUNDED_BAI, indices=indices, norms=norms, liminf=liminf, slack=slack
+        kind=KIND_BOUNDED_BAI, indices=indices, norms=norms, liminf=cls.liminf, slack=Fraction(slack)
     )
-
-
-def _collect(next_fn, count: int) -> tuple[int, ...]:
-    out: list[int] = []
-    lo = 1
-    for _ in range(count):
-        n = next_fn(lo)
-        out.append(n)
-        lo = n + 1
-    return tuple(out)
-
-
-def _next_selected(
-    w: WeightFamily, cls: WeightClassification, at_or_after: int
-) -> int:
-    """The selection policy: the next selected index at or after at_or_after."""
-    if cls.liminf is None:
-        # indices strictly between at_or_after and the attainer of the tail
-        # infimum sit above their own tail infimum, so the attainer is next
-        return w.tail_infimum(at_or_after).attained_at
-    if cls.sup is not None:
-        return at_or_after  # bounded weights: the whole sequence is norm bounded
-    return w.first_attaining(cls.liminf, at_or_after)
 
 
 def ditkin_approximation(
@@ -244,17 +208,11 @@ def ditkin_approximation(
         k = max(f.support, 1)
         return k, residual_norm(f, w, k, horizon)
 
-    cls = w.classify()
-    threshold = 1
-    last = None
-    while threshold <= search_bound:
-        k = _next_selected(w, cls, threshold)
-        if k != last:
-            last = k
-            res = residual_norm(f, w, k, horizon)
-            if res.hi <= tol:
-                return k, res
-        threshold *= 2
+    thresholds = (1 << i for i in range(max(search_bound, 0).bit_length()))
+    for k, _ in groupby(next(w.selected_indices(t)) for t in thresholds):
+        res = residual_norm(f, w, k, horizon)
+        if res.hi <= tol:
+            return k, res
     raise HorizonExhausted(
         f"no selected index up to {search_bound} certifies a residual <= {tol}"
     )

@@ -15,14 +15,15 @@ interleave part counts, is kept as an independent oracle.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import heapq
 import math
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 
 from .errors import DivergentVariationError, SchemaError
 
@@ -151,9 +152,9 @@ class LeafForm:
 
     @functools.cached_property
     def by_modulus(self) -> dict[int, list[tuple[int, Fraction, Fraction]]]:
-        """The leaves (residue, offset, slope) of each modulus, by residue."""
+        """The leaves (residue, offset, slope) of each modulus."""
         groups: dict[int, list] = {}
-        for r, m, a, b in sorted(self.leaves):  # (r, m) is unique: no offsets compared
+        for r, m, a, b in self.leaves:
             groups.setdefault(m, []).append((r, a, b))
         return groups
 
@@ -179,56 +180,61 @@ class WeightFamily:
     def to_obj(self) -> dict:
         raise NotImplementedError
 
-    def _first(self, at_or_after: int, hit, arm_first) -> int | None:
-        """Smallest n >= at_or_after with hit(alpha_n), or None when there is none.
-
-        Below the start of the leaf form hit tests each value.  Past it,
-        arm_first(a, b, n0) takes a leaf a + b*n and its first index n0 in
-        range, and gives the point from which the leaf qualifies (None if
-        never); the leaf's answer is its first index from there.  Leaves are
-        visited in the order of n0, so the search stops at the first n0 past
-        the best answer.
-        """
+    def _hits(self, at_or_after: int, span) -> Iterator[int]:
+        """Every n >= at_or_after whose value passes a test, in increasing order.
+        span(a, b) is the first and last n (math.inf: no end) at which a leaf
+        a + b*n passes, or None.  Below the leaf form's start each alpha_j is
+        tested as the leaf (alpha_j, 0); past it a leaf passes on a progression."""
         form = self._leaves
-        for j in range(at_or_after, form.start):
-            if hit(self.at(j)):
-                return j
-        base, best = max(at_or_after, form.start), math.inf
-        groups = [_by_first_index(mu, group, base) for mu, group in form.by_modulus.items()]
-        for n0, m, a, b in heapq.merge(*groups) if len(groups) > 1 else groups[0]:
-            if n0 >= best:
-                break
-            n = arm_first(a, b, n0)
-            if n is not None:
-                best = min(best, n + (n0 - n) % m)
-        return None if best == math.inf else best
+        yield from (j for j in range(at_or_after, form.start) if span(self.at(j), 0))
+        base, heap = max(at_or_after, form.start), []
+        for r, m, a, b in form.leaves:
+            s = span(a, b)
+            if s is not None:
+                n = max(base, s[0])
+                heap.append((n + (r - n) % m, m, s[1]))
+        heapq.heapify(heap)  # (next index, modulus, last index) per passing leaf
+        while heap:
+            n, m, last = heapq.heappop(heap)
+            if n <= last:
+                yield n
+                heapq.heappush(heap, (n + m, m, last))
 
     def first_above(self, t: Fraction, at_or_after: int = 1) -> int | None:
         """Smallest n >= at_or_after with alpha_n > t; None when the weights stay <= t."""
 
-        def arm_first(a, b, n0):
-            if b == 0:
-                return n0 if a > t else None
-            # a + b*n > t from n = floor((t - a)/b) + 1 on
-            return max(n0, (t - a) // b + 1)
+        def span(a, b):  # a + b*n > t from n = floor((t - a)/b) + 1 on
+            return ((t - a) // b + 1, math.inf) if b else ((1, math.inf) if a > t else None)
 
-        return self._first(at_or_after, lambda v: v > t, arm_first)
+        return next(self._hits(at_or_after, span), None)
 
     def first_at_most(self, t: Fraction, at_or_after: int) -> int | None:
         """Smallest n >= at_or_after with alpha_n <= t, or None."""
-        # leaves are nondecreasing, so a leaf qualifies at its first index or never
-        return self._first(
-            at_or_after, lambda v: v <= t, lambda a, b, n0: n0 if a + b * n0 <= t else None
-        )
+        return next(self._hits(at_or_after, _at_most(t)), None)
 
     def first_attaining(self, level: Fraction, at_or_after: int) -> int | None:
         """Smallest n >= at_or_after with alpha_n == level below the leaf form's
         start, or on a constant leaf at that level past it; None if there is none."""
-        return self._first(
-            at_or_after,
-            lambda v: v == level,
-            lambda a, b, n0: n0 if b == 0 and a == level else None,
-        )
+        return next(self._hits(at_or_after, _attaining(level)), None)
+
+    def selected_indices(self, at_or_after: int = 1, slack: Fraction | None = None) -> Iterator[int]:
+        """The truncation indices of the approximate identity at ∞ from at_or_after
+        on, increasing and without end, k of them in O((leaves + k) log leaves):
+        for divergent weights the attainers of their own running tail infimum;
+        for a finite liminf every index of bounded weights, else the liminf's
+        attainers, or with a slack >= 0 each n with alpha_n <= liminf + slack."""
+        if at_or_after < 1:
+            raise ValueError("index must be >= 1")
+        cls = self.classify()
+        if cls.liminf is None:
+            return (j for _, j in self._running_minima(at_or_after))
+        if slack is not None:
+            if slack < 0:
+                raise ValueError("slack must be >= 0")
+            return self._hits(at_or_after, _at_most(cls.liminf + Fraction(slack)))
+        if cls.sup is not None:
+            return count(at_or_after)  # bounded weights: the whole sequence is norm bounded
+        return self._hits(at_or_after, _attaining(cls.liminf))
 
     def scaled_at(self, indices) -> tuple[int, list[int]]:
         """(D_w, [D_w * alpha_n for n in indices]) over one common denominator
@@ -263,16 +269,33 @@ class WeightFamily:
 
     def tail_infimum(self, n: int) -> TailInf:
         """Exact inf{alpha_j : j >= n} with the earliest attaining index."""
-        if n < 1:
-            raise ValueError("index must be >= 1")
-        form = self._leaves
-        lo = max(n, form.start)
-        candidates = [(self.at(j), j) for j in range(n, lo)]
-        for r, m, a, b in form.leaves:
-            j = lo + (r - lo) % m  # slope >= 0: the leaf's least value comes first here
-            candidates.append((a + b * j, j))
-        value, j = min(candidates)
-        return TailInf(at_index=n, value=value, attained_at=j)
+        return TailInf(n, *next(self._running_minima(n)))  # (at_index, value, attained_at)
+
+    def _running_minima(self, at_or_after: int) -> Iterator[tuple[Fraction, int]]:
+        """(alpha_k, k) for each k >= at_or_after attaining inf{alpha_j : j >= k},
+        in increasing order.  A heap holds (value, index, leaf) per value below
+        the start (leaf -1) and per leaf; a leaf at an index already passed
+        moves to its first index from lo, one past the last k.  Leaf values
+        only grow, so the top entry at or past lo is the least, and ties go to
+        the smaller index."""
+        form, lo = self._leaves, at_or_after
+        heap = [(self.at(j), j, -1) for j in range(lo, form.start)]
+        base = max(lo, form.start)
+        for i, (r, m, a, b) in enumerate(form.leaves):
+            n = base + (r - base) % m
+            heap.append((a + b * n, n, i))
+        heapq.heapify(heap)
+        while True:
+            value, n, i = heap[0]
+            if n >= lo:
+                yield value, n
+                lo = n + 1
+            elif i < 0:
+                heapq.heappop(heap)
+            else:
+                r, m, a, b = form.leaves[i]
+                n = lo + (r - lo) % m
+                heapq.heapreplace(heap, (a + b * n, n, i))
 
     def classify(self) -> WeightClassification:
         """Exact boundedness / liminf / monotonicity classification."""
@@ -297,13 +320,14 @@ class WeightFamily:
         )
 
 
-def _by_first_index(mu: int, group: list, base: int):
-    """The leaves (n0, mu, a, b) of one modulus, in the order of their first
-    index n0 >= base; group is that modulus's leaves sorted by residue."""
-    i = bisect.bisect_left(group, (base % mu,))  # (x,) sorts before every (x, a, b)
-    for k in range(i, i + len(group)):
-        r, a, b = group[k % len(group)]
-        yield base + (r - base) % mu, mu, a, b
+def _at_most(t: Fraction):
+    """The span of a leaf's values <= t: up to n = floor((t - a)/b), as b >= 0."""
+    return lambda a, b: (1, (t - a) // b) if b else ((1, math.inf) if a <= t else None)
+
+
+def _attaining(level: Fraction):
+    """The span of a leaf's values == level: all of a constant leaf at that level."""
+    return lambda a, b: None if b or a != level else (1, math.inf)
 
 
 def _steps_nondecreasing(form: LeafForm, b: Fraction) -> bool:

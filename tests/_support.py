@@ -194,7 +194,12 @@ def dense_sup_liminf(w: WeightFamily) -> tuple:
 
 
 def _dense_first(w: WeightFamily, lo: int, hit, arm_first) -> int | None:
-    """The index search over every dense arm; arm_first as in WeightFamily._first."""
+    """Smallest n >= lo with hit(alpha_n), or None, searching every dense arm.
+
+    Below the dense start hit tests each value; past it arm_first(a, b, n0)
+    takes an arm a + b*n and its first index n0 in range, and gives the
+    point from which the arm qualifies (None if never).
+    """
     ef = eventual_form(w)
     for j in range(lo, ef.start):
         if hit(w.at(j)):

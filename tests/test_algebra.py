@@ -381,6 +381,33 @@ class TestRuleBasedWindows:
             jumps = [w.at(j) * abs(value(j + 1) - value(j)) for j in range(start, end + 1)]
             assert f.tail_variation(w, start, end, end).lo == sum(jumps), (start, end)
 
+    @staticmethod
+    def _staircase_copy(grown: bool) -> RuleBased:
+        """A rule-based copy of the staircase, fresh or with its memo grown to 65."""
+        f = RuleBased(DYADIC.at, 0, lambda s, w: dyadic_jump_tail(w, s))
+        if grown:
+            f.norm(Constant(1), horizon=64)
+        return f
+
+    @pytest.mark.parametrize("start, end", [(10, 2), (4, 2), (0, 5), (-3, 4)])
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_bad_windows_are_rejected(self, start, end, grown):
+        f = self._staircase_copy(grown)
+        window = re.escape(f"window [{start}, {end}]")
+        with pytest.raises(ValueError, match=window):
+            f.tail_sup(start, end, 2)
+        with pytest.raises(ValueError, match=window):
+            f.tail_variation(Constant(1), start, end, 2)
+
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_empty_windows_stay_valid(self, grown):
+        # start == end + 1 is the window of horizon 0
+        f = self._staircase_copy(grown)
+        assert f.norm(Constant(1), horizon=0).lo == 0
+        for start in (1, 10, 100):
+            assert f.tail_sup(start, start - 1, 0).lo == 0
+            assert f.tail_variation(Constant(1), start, start - 1, 0).lo == 0
+
 
 class TestIdeals:
     def test_indicator_in_j_at_infinity(self):

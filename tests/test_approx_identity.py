@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ditkin import (
@@ -33,7 +33,14 @@ from ditkin import (
 )
 from ditkin.algebra import dyadic_jump_tail
 
-from _support import m_infinity_elements, random_family, weight_families
+from _support import (
+    dense_searches,
+    dense_sup_liminf,
+    dense_tail_infimum,
+    m_infinity_elements,
+    random_family,
+    weight_families,
+)
 
 ODD_EVEN_FAMILY, DYADIC = dyadic_counterexample()
 
@@ -153,6 +160,26 @@ class TestDiagnostics:
         assert len(lines) == 3
 
 
+def _dense_selection(w, count: int, slack) -> tuple[int, ...]:
+    """The selection rebuilt index by index from the dense-form oracles: the
+    running tail infimum's attainer for divergent weights, the initial
+    segment for bounded ones, else the next liminf attainer or, with a slack,
+    the next n with alpha_n <= liminf + slack."""
+    sup, liminf = dense_sup_liminf(w)
+    if liminf is not None and slack is None and sup is not None:
+        return tuple(range(1, count + 1))
+    out, lo = [], 1
+    for _ in range(count):
+        if liminf is None:
+            n = dense_tail_infimum(w, lo).attained_at
+        else:
+            _, at_most, attaining = dense_searches(w, liminf + (slack or 0), liminf, lo)
+            n = attaining if slack is None else at_most
+        out.append(n)
+        lo = n + 1
+    return tuple(out)
+
+
 class TestSelection:
     def test_odd_even_family_attaining_arm(self):
         sel = select_ai_subsequence(ODD_EVEN_FAMILY, 4)
@@ -200,6 +227,17 @@ class TestSelection:
             sel = select_ai_subsequence(w, 5)
             for n, nrm in zip(sel.indices, sel.norms):
                 assert prefix_indicator(n).norm(w) == NormResult.exact(nrm)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        weight_families(),
+        st.integers(1, 40),
+        st.sampled_from([None, Fraction(0), Fraction(1, 3), Fraction(2)]),
+    )
+    # a tie at the running minimum 3, alpha_1 on the second leaf and alpha_2 on the first
+    @example(Interleave((Linear(1, 1), Linear(2, 1))), 4, None)
+    def test_selection_matches_dense_oracles(self, w, count, slack):
+        assert select_ai_subsequence(w, count, slack).indices == _dense_selection(w, count, slack)
 
     @settings(deadline=None, max_examples=60)
     @given(weight_families(), st.integers(1, 6))

@@ -402,8 +402,9 @@ class TestLeafForm:
 
     def test_wide_selection_stops_at_the_first_leaf(self):
         # 65,535 constant leaves at the liminf and one growing leaf, all of
-        # modulus 65,536: each search stops at the first leaf in index order,
-        # where one visiting every leaf took about 0.1 s per selected index
+        # modulus 65,536: the selection is one merged stream of the leaves'
+        # progressions, where a search over every leaf per selected index
+        # took about 0.1 s per index
         w = Interleave((Constant(1), Linear(1, 1)) + (Constant(1),) * 65534)
         w.classify()
         start = time.perf_counter()
@@ -411,6 +412,25 @@ class TestLeafForm:
         assert select_ai_subsequence(w, 1 << 14).indices == expected
         assert select_ai_subsequence(w, 1 << 14, Fraction(1, 2)).indices == expected
         assert time.perf_counter() - start < 1
+
+    def test_sparse_liminf_selection_is_one_stream(self):
+        # one liminf leaf among 65,535 growing ones: the selected indices lie
+        # 65,536 apart, and a search per index walked every growing leaf
+        w = Interleave((Constant(1),) + (Linear(1, 1),) * 65535)
+        w.classify()
+        start = time.perf_counter()
+        expected = tuple(range(1 << 16, (1 << 30) + 1, 1 << 16))
+        assert select_ai_subsequence(w, 1 << 14).indices == expected
+        assert time.perf_counter() - start < 1
+
+    def test_divergent_selection_is_one_stream(self):
+        # 16,384 growing leaves: every index attains its running tail
+        # infimum, and a tail infimum per index visited every leaf
+        w = Interleave((Linear(1, 1),) * (1 << 14))
+        w.classify()
+        start = time.perf_counter()
+        assert select_ai_subsequence(w, 1 << 14).indices == tuple(range(1, (1 << 14) + 1))
+        assert time.perf_counter() - start < 2
 
     def test_jump_sum_walks_each_modulus_once(self):
         # 4,003 constant leaves of one prime modulus on which 2 has order
