@@ -32,7 +32,7 @@ from .weights import (
     dyadic_jump_tail,
     echo,
     format_rational,
-    parse_rational,
+    parse_ratio,
 )
 
 DEFAULT_HORIZON = 1 << 16
@@ -596,14 +596,16 @@ def element_from_obj(obj: object, path: str = "element") -> Element:
         if "runs" in obj:
             if "prefix" in obj:
                 raise SchemaError(f"{path}.runs: give either prefix or runs, not both")
-            runs = _runs_from_obj(obj["runs"], f"{path}.runs")
+            ratios, ends = _runs_from_obj(obj["runs"], f"{path}.runs")
         else:
             pre_obj = obj.get("prefix", [])
             if not isinstance(pre_obj, list):
                 raise SchemaError(f"{path}.prefix: expected a list")
-            runs = [(parse_rational(v, f"{path}.prefix[{i}]"), 1) for i, v in enumerate(pre_obj)]
-        tail = parse_rational(obj.get("tail", "0"), f"{path}.tail")
-        return EventuallyConstant.from_runs(runs, tail)
+            ratios = [parse_ratio(v, f"{path}.prefix[{i}]") for i, v in enumerate(pre_obj)]
+            ends = range(1, len(ratios) + 1)
+        tp, tq = parse_ratio(obj.get("tail", "0"), f"{path}.tail")
+        den = math.lcm(tq, *{q for _, q in ratios})
+        return EventuallyConstant._of(den, ends, [p * (den // q) for p, q in ratios], tp * (den // tq))
     if kind == "dyadic_decay":
         return DyadicDecay()
     raise SchemaError(
@@ -611,10 +613,10 @@ def element_from_obj(obj: object, path: str = "element") -> Element:
     )
 
 
-def _runs_from_obj(obj: object, path: str) -> list[tuple[Fraction, int]]:
+def _runs_from_obj(obj: object, path: str) -> tuple[list[tuple[int, int]], list[int]]:
     if not isinstance(obj, list) or len(obj) > MAX_RUNS:
         raise SchemaError(f"{path}: expected a list of at most {MAX_RUNS} runs")
     for i, run in enumerate(obj):
         if not (isinstance(run, list) and len(run) == 2 and type(run[1]) is int and run[1] >= 1):
             raise SchemaError(f"{path}[{i}]: expected a [value, length] pair, the length a positive integer")
-    return [(parse_rational(v, f"{path}[{i}][0]"), n) for i, (v, n) in enumerate(obj)]
+    return [parse_ratio(v, f"{path}[{i}][0]") for i, (v, _) in enumerate(obj)], list(accumulate(n for _, n in obj))

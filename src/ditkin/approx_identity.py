@@ -172,7 +172,8 @@ def select_ai_subsequence(
     if count < 1:
         raise ValueError("count must be >= 1")
     indices = tuple(islice(w.selected_indices(1, slack), count))
-    norms = tuple(1 + w.at(n) for n in indices)
+    den, scaled = w.scaled_at(indices)
+    norms = tuple(Fraction(den + v, den) for v in scaled)
     cls = w.classify()
     if cls.liminf is None:
         return AiSelection(kind=KIND_RUNNING_MIN, indices=indices, norms=norms)

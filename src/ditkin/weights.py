@@ -5,10 +5,10 @@ closed grammar: constants, affine ramps ``a + b*n``, interleavings that pick
 a sub-rule by residue class, and finite prefix overrides.  Beyond a start
 index every member flattens into a *leaf form*: one affine leaf with
 nonnegative slope per reachable grammar leaf, on a residue class found by
-the Chinese remainder theorem.  That normal form, whose size follows the
-input, turns the asymptotic questions needed downstream (tail infimum,
-supremum, liminf, monotonicity, the dyadic jump sum) into finite exact
-computations on rationals, instead of numeric estimates with error terms.
+the Chinese remainder theorem, in integers over one denominator.  That
+normal form, whose size follows the input, turns the asymptotic questions
+needed downstream (tail infimum, supremum, liminf, monotonicity, the dyadic
+jump sum) into finite exact integer computations, not numeric estimates.
 The dense *eventual form*, one arm per residue modulo the lcm of all
 interleave part counts, is kept as an independent oracle.
 """
@@ -18,12 +18,13 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 import re
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count
+from itertools import count, pairwise
 
 from .errors import DivergentVariationError, SchemaError
 
@@ -40,19 +41,23 @@ def parse_rational(value: object, path: str = "value") -> Fraction:
     decimal, exponent ("1e5000" would expand to a huge integer) and
     digit-separator strings.
     """
+    return Fraction(*parse_ratio(value, path))
+
+
+def parse_ratio(value: object, path: str = "value") -> tuple[int, int]:
+    """The same rational as parse_rational, as an unreduced pair (p, q), q > 0."""
+    if isinstance(value, str):
+        m = _RATIONAL.fullmatch(value.strip())
+        try:
+            if m and (q := int(m[2] or 1)):  # not "p/0"
+                return int(m[1]), q
+        except ValueError:  # past the int digit limit
+            pass
+        raise SchemaError(f"{path}: not a rational 'p/q' string: {echo(value)}")
     if isinstance(value, bool) or isinstance(value, float):
         raise SchemaError(f"{path}: expected an exact rational such as \"3/4\", got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        try:
-            m = _RATIONAL.fullmatch(text)
-            if m:
-                return Fraction(int(m[1]), int(m[2] or 1))
-        except (ValueError, ZeroDivisionError):  # past the int digit limit, or "p/0"
-            pass
-        raise SchemaError(f"{path}: not a rational 'p/q' string: {echo(value)}")
+        return value, 1
     raise SchemaError(f"{path}: expected an exact rational, got {type(value).__name__}")
 
 
@@ -140,7 +145,8 @@ class EventualForm:
 
 @dataclass(frozen=True)
 class LeafForm:
-    """Sparse normal form valid for n >= start: alpha_n = offset + slope*n
+    """Sparse normal form in integers over one denominator den = D_w:
+    D_w * alpha_n is head[n - 1] before start, and offset + slope*n past it
     on the leaf (residue, modulus, offset, slope) whose class holds n.
 
     The leaves' classes partition the integers, every class is met by the
@@ -148,23 +154,39 @@ class LeafForm:
     """
 
     start: int
-    leaves: tuple[tuple[int, int, Fraction, Fraction], ...]
+    den: int
+    head: tuple[int, ...]
+    leaves: tuple[tuple[int, int, int, int], ...]
 
     @functools.cached_property
-    def by_modulus(self) -> dict[int, list[tuple[int, Fraction, Fraction]]]:
-        """The leaves (residue, offset, slope) of each modulus."""
-        groups: dict[int, list] = {}
+    def by_modulus(self) -> dict[int, dict[int, tuple[int, int]]]:
+        """The leaves (offset, slope) of each modulus, by residue."""
+        groups: dict[int, dict] = {}
         for r, m, a, b in self.leaves:
-            groups.setdefault(m, []).append((r, a, b))
+            groups.setdefault(m, {})[r] = a, b
         return groups
+
+    def values(self, indices) -> list[int]:
+        """[D_w * alpha_n for n in indices], n >= 1, past the start from the leaf holding n."""
+        out, start, groups = [], self.start, tuple(self.by_modulus.items())
+        for n in indices:
+            if n < start:
+                if n < 1:
+                    raise ValueError("index must be >= 1")
+                out.append(self.head[n - 1])
+                continue
+            for m, group in groups:
+                if leaf := group.get(n % m):
+                    out.append(leaf[0] + leaf[1] * n)
+                    break
+        return out
 
 
 class WeightFamily:
     """Base class of the weight grammar; concrete families below.  Only this
     module reads a normal form: every index search is a method here.  Each
-    family caches its leaf form (`_leaves`), its scaled integer leaves
-    (`_scaled`) and classification per object, in the instance dict, so
-    they take no part in __eq__ or __hash__."""
+    family caches its integer leaf form (`_leaves`) and classification per
+    object, in the instance dict, so they take no part in __eq__ or __hash__."""
 
     def at(self, n: int) -> Fraction:
         """Exact value of alpha_n for n >= 1."""
@@ -175,24 +197,32 @@ class WeightFamily:
 
     @functools.cached_property
     def _leaves(self) -> LeafForm:
-        return LeafForm(1, ((0, 1, *self._arm),))
+        a, b = self._arm
+        den = math.lcm(a.denominator, b.denominator)
+        return LeafForm(1, den, (), ((0, 1, int(a * den), int(b * den)),))
 
     def to_obj(self) -> dict:
         raise NotImplementedError
 
-    def _hits(self, at_or_after: int, span) -> Iterator[int]:
-        """Every n >= at_or_after whose value passes a test, in increasing order.
-        span(a, b) is the first and last n (math.inf: no end) at which a leaf
-        a + b*n passes, or None.  Below the leaf form's start each alpha_j is
-        tested as the leaf (alpha_j, 0); past it a leaf passes on a progression."""
+    def _hits(self, at_or_after: int, t: Fraction, op) -> Iterator[int]:
+        """Every n >= at_or_after with op(alpha_n, t), in increasing order, for op one
+        of operator.gt, le and eq (past the leaf form's start, eq on constant leaves
+        only).  With p/q = D_w * t a value before the start is tested alone, and a
+        leaf past it passes on a progression up to or from where a + b*n crosses p/q."""
         form = self._leaves
-        yield from (j for j in range(at_or_after, form.start) if span(self.at(j), 0))
+        p, q = t.numerator * form.den, t.denominator
+        yield from (j for j, v in enumerate(form.values(range(at_or_after, form.start)), at_or_after) if op(q * v, p))
         base, heap = max(at_or_after, form.start), []
         for r, m, a, b in form.leaves:
-            s = span(a, b)
-            if s is not None:
-                n = max(base, s[0])
-                heap.append((n + (r - n) % m, m, s[1]))
+            if b and op is not operator.eq:  # a growing leaf is <= t up to n = floor((p - q*a)/(q*b))
+                cut = (p - q * a) // (q * b)
+                first, last = (cut + 1, math.inf) if op is operator.gt else (1, cut)
+            elif not b and op(q * a, p):
+                first, last = 1, math.inf
+            else:
+                continue
+            n = max(base, first)
+            heap.append((n + (r - n) % m, m, last))
         heapq.heapify(heap)  # (next index, modulus, last index) per passing leaf
         while heap:
             n, m, last = heapq.heappop(heap)
@@ -202,20 +232,16 @@ class WeightFamily:
 
     def first_above(self, t: Fraction, at_or_after: int = 1) -> int | None:
         """Smallest n >= at_or_after with alpha_n > t; None when the weights stay <= t."""
-
-        def span(a, b):  # a + b*n > t from n = floor((t - a)/b) + 1 on
-            return ((t - a) // b + 1, math.inf) if b else ((1, math.inf) if a > t else None)
-
-        return next(self._hits(at_or_after, span), None)
+        return next(self._hits(at_or_after, t, operator.gt), None)
 
     def first_at_most(self, t: Fraction, at_or_after: int) -> int | None:
         """Smallest n >= at_or_after with alpha_n <= t, or None."""
-        return next(self._hits(at_or_after, _at_most(t)), None)
+        return next(self._hits(at_or_after, t, operator.le), None)
 
     def first_attaining(self, level: Fraction, at_or_after: int) -> int | None:
         """Smallest n >= at_or_after with alpha_n == level below the leaf form's
         start, or on a constant leaf at that level past it; None if there is none."""
-        return next(self._hits(at_or_after, _attaining(level)), None)
+        return next(self._hits(at_or_after, level, operator.eq), None)
 
     def selected_indices(self, at_or_after: int = 1, slack: Fraction | None = None) -> Iterator[int]:
         """The truncation indices of the approximate identity at ∞ from at_or_after
@@ -225,61 +251,35 @@ class WeightFamily:
         attainers, or with a slack >= 0 each n with alpha_n <= liminf + slack."""
         if at_or_after < 1:
             raise ValueError("index must be >= 1")
+        if slack is not None and slack < 0:
+            raise ValueError("slack must be >= 0")
         cls = self.classify()
         if cls.liminf is None:
             return (j for _, j in self._running_minima(at_or_after))
         if slack is not None:
-            if slack < 0:
-                raise ValueError("slack must be >= 0")
-            return self._hits(at_or_after, _at_most(cls.liminf + Fraction(slack)))
+            return self._hits(at_or_after, cls.liminf + slack, operator.le)
         if cls.sup is not None:
             return count(at_or_after)  # bounded weights: the whole sequence is norm bounded
-        return self._hits(at_or_after, _attaining(cls.liminf))
+        return self._hits(at_or_after, cls.liminf, operator.eq)
 
     def scaled_at(self, indices) -> tuple[int, list[int]]:
-        """(D_w, [D_w * alpha_n for n in indices]) over one common denominator
-        D_w of the family.  Past the leaf form's start each value is read
-        from the scaled leaf holding n, so the cost follows the leaves and
-        the number of indices, not the size of an index."""
-        den, head, classes = self._scaled
-        out = []
-        for n in indices:
-            if n < 1:
-                raise ValueError("index must be >= 1")
-            if n <= len(head):
-                out.append(head[n - 1])
-                continue
-            for mu, leaves in classes:
-                if n % mu in leaves:
-                    a, b = leaves[n % mu]
-                    out.append(a + b * n)
-                    break
-        return den, out
-
-    @functools.cached_property
-    def _scaled(self) -> tuple[int, list[int], list[tuple[int, dict[int, tuple[int, int]]]]]:
-        # D_w, the scaled values before the start, and per modulus the scaled
-        # leaves (offset, slope) by residue
-        form = self._leaves
-        head = [self.at(j) for j in range(1, form.start)]
-        den = math.lcm(*{q.denominator for q in head}, *{q.denominator for *_, a, b in form.leaves for q in (a, b)})
-        groups = form.by_modulus.items()
-        classes = [(mu, {r: (int(a * den), int(b * den)) for r, a, b in g}) for mu, g in groups]
-        return den, [int(q * den) for q in head], classes
+        """(D_w, [D_w * alpha_n for n in indices]), at a cost that follows the leaves."""
+        return self._leaves.den, self._leaves.values(indices)
 
     def tail_infimum(self, n: int) -> TailInf:
         """Exact inf{alpha_j : j >= n} with the earliest attaining index."""
-        return TailInf(n, *next(self._running_minima(n)))  # (at_index, value, attained_at)
+        value, k = next(self._running_minima(n))
+        return TailInf(n, Fraction(value, self._leaves.den), k)
 
-    def _running_minima(self, at_or_after: int) -> Iterator[tuple[Fraction, int]]:
-        """(alpha_k, k) for each k >= at_or_after attaining inf{alpha_j : j >= k},
-        in increasing order.  A heap holds (value, index, leaf) per value below
-        the start (leaf -1) and per leaf; a leaf at an index already passed
+    def _running_minima(self, at_or_after: int) -> Iterator[tuple[int, int]]:
+        """(D_w * alpha_k, k) for each k >= at_or_after attaining inf{alpha_j : j >= k},
+        in increasing order.  A heap holds (scaled value, index, leaf) per value
+        below the start (leaf -1) and per leaf; a leaf at an index already passed
         moves to its first index from lo, one past the last k.  Leaf values
         only grow, so the top entry at or past lo is the least, and ties go to
         the smaller index."""
         form, lo = self._leaves, at_or_after
-        heap = [(self.at(j), j, -1) for j in range(lo, form.start)]
+        heap = [(v, j, -1) for j, v in enumerate(form.values(range(lo, form.start)), lo)]
         base = max(lo, form.start)
         for i, (r, m, a, b) in enumerate(form.leaves):
             n = base + (r - base) % m
@@ -304,13 +304,13 @@ class WeightFamily:
     @functools.cached_property
     def _classification(self) -> WeightClassification:
         form = self._leaves
-        prefix_vals = [self.at(j) for j in range(1, form.start)]
-        offsets = [a for _, _, a, _ in form.leaves]
+        offsets = [a for *_, a, _ in form.leaves]
         slopes = [b for *_, b in form.leaves]
-        sup = None if any(slopes) else max(prefix_vals + offsets)
-        liminf = min((a for a, b in zip(offsets, slopes) if not b), default=None)
+        sup = None if any(slopes) else Fraction(max([*form.head, *offsets]), form.den)
+        least = min((a for a, b in zip(offsets, slopes) if not b), default=None)
+        liminf = None if least is None else Fraction(least, form.den)
         nondecreasing = (
-            all(self.at(j + 1) >= self.at(j) for j in range(1, form.start))
+            all(x <= y for x, y in pairwise(form.values(range(1, form.start + 1))))
             # with mixed slopes some step around the cycle of residues lowers it
             and slopes.count(slopes[0]) == len(slopes)
             and _steps_nondecreasing(form, slopes[0])
@@ -320,35 +320,24 @@ class WeightFamily:
         )
 
 
-def _at_most(t: Fraction):
-    """The span of a leaf's values <= t: up to n = floor((t - a)/b), as b >= 0."""
-    return lambda a, b: (1, (t - a) // b) if b else ((1, math.inf) if a <= t else None)
-
-
-def _attaining(level: Fraction):
-    """The span of a leaf's values == level: all of a constant leaf at that level."""
-    return lambda a, b: None if b or a != level else (1, math.inf)
-
-
-def _steps_nondecreasing(form: LeafForm, b: Fraction) -> bool:
-    """Whether alpha_{n+1} >= alpha_n past the start when every leaf has slope b.
+def _steps_nondecreasing(form: LeafForm, b: int) -> bool:
+    """Whether alpha_{n+1} >= alpha_n past the start when every leaf has scaled slope b.
 
     With n on leaf A and n+1 on leaf B the step a_B + b - a_A does not
     depend on n, and such an n exists iff r_A + 1 = r_B (mod gcd(m_A, m_B)).
     So A is compared, per modulus mu, with the least a_B + b over the leaves
     B of modulus mu in that residue class mod gcd(m_A, mu).
     """
-    tables: dict[tuple[int, int], dict[int, Fraction]] = {}
+    tables: dict[tuple[int, int], dict[int, int]] = {}
     for r, m, a, _ in form.leaves:
         for mu, members in form.by_modulus.items():
             g = math.gcd(m, mu)
             if (mu, g) not in tables:
                 table = tables[mu, g] = {}
-                for rb, ab, _ in members:
+                for rb, (ab, _) in members.items():
                     table[rb % g] = min(ab, table.get(rb % g, ab))
             least = tables[mu, g].get((r + 1) % g)
-            # b >= 0, so a > least is tested first to skip most additions
-            if least is not None and a > least and a > least + b:
+            if least is not None and a > least + b:
                 return False
     return True
 
@@ -372,12 +361,10 @@ def dyadic_jump_tail(w: WeightFamily, start: int) -> Fraction:
     if start < 1:
         raise ValueError("start must be >= 1")
     form = w._leaves
-    k = 1
-    while (1 << k) - 1 < start:
-        k += 1
-    total = Fraction(0)
+    k = start.bit_length()  # the least k with 2^k - 1 >= start
+    num, den = 0, 1 << k  # the sum so far is num / (den * D_w)
     while (1 << k) - 1 < form.start:
-        total += w.at((1 << k) - 1) * Fraction(1, 1 << (k + 1))
+        num, den = 2 * num + form.head[(1 << k) - 2], 2 * den
         k += 1
     for mu, group in form.by_modulus.items():
         seen: dict[int, int] = {}  # residue of 2^j - 1 -> j
@@ -387,23 +374,25 @@ def dyadic_jump_tail(w: WeightFamily, start: int) -> Fraction:
             x, j = (2 * x + 1) % mu, j + 1
         k1, top, period = seen[x], j, j - seen[x]
         # hits before the cycle, and on one turn of it, as multiples of 2^{-(top+1)}
-        once, turn = Fraction(0), Fraction(0)
-        for r, a, b in group:
+        once = turn = 0
+        for r, (a, b) in group.items():
             j = seen.get(r)
             if j is None:
                 continue
             if j < k1:
-                once += (a + b * ((1 << j) - 1)) * (1 << (top - j))
+                once += (a + b * ((1 << j) - 1)) << (top - j)
             elif b > 0:
                 raise DivergentVariationError(
                     "weighted variation of the dyadic element diverges for this family: "
                     "a growing arm recurs on the jump indices"
                 )
             else:
-                turn += a * (1 << (top - j))
-        # every turn of the cycle: turn / (1 - 2^{-period})
-        total += (once + turn * Fraction(1 << period, (1 << period) - 1)) / (1 << (top + 1))
-    return total
+                turn += a << (top - j)
+        # every turn of the cycle: turn / (1 - 2^{-period}), all over 2^{top+1}
+        g = (1 << period) - 1
+        lcm = math.lcm(den, g << (top + 1))
+        num, den = num * (lcm // den) + (once * g + (turn << period)) * (lcm // (g << (top + 1))), lcm
+    return Fraction(num, den * form.den)
 
 
 @dataclass(frozen=True)
@@ -500,9 +489,11 @@ class Interleave(WeightFamily):
 
     @functools.cached_property
     def _leaves(self) -> LeafForm:
-        M, leaves = self.modulus, []
-        for i, part in enumerate(self.parts):
-            for r, m, a, b in part._leaves.leaves:
+        M, leaves, forms = self.modulus, [], [p._leaves for p in self.parts]
+        den = math.lcm(*(form.den for form in forms))
+        for i, form in enumerate(forms):
+            c = den // form.den
+            for r, m, a, b in form.leaves:
                 # n = i (mod M) and n = r (mod m) meet iff i = r (mod gcd)
                 g = math.gcd(M, m)
                 if (i - r) % g:
@@ -513,8 +504,10 @@ class Interleave(WeightFamily):
                         f"interleave: a leaf would need modulus {lcm}, over the cap of {MAX_ARMS}"
                     )
                 t = (r - i) // g * pow(M // g, -1, m // g) % (m // g)  # n = i + M*t
-                leaves.append((i + M * t, lcm, a, b))
-        return LeafForm(max(p._leaves.start for p in self.parts), tuple(leaves))
+                leaves.append((i + M * t, lcm, a * c, b * c))
+        start = max(form.start for form in forms)
+        head = tuple(v.numerator * (den // v.denominator) for v in map(self.at, range(1, start)))
+        return LeafForm(start, den, head, tuple(leaves))
 
     def to_obj(self) -> dict:
         return {
@@ -552,8 +545,12 @@ class PrefixOverride(WeightFamily):
 
     @functools.cached_property
     def _leaves(self) -> LeafForm:
-        form = self.tail._leaves
-        return replace(form, start=max(form.start, len(self.prefix) + 1))
+        form, k = self.tail._leaves, len(self.prefix)
+        den = math.lcm(form.den, *{v.denominator for v in self.prefix})
+        c = den // form.den
+        head = [v.numerator * (den // v.denominator) for v in self.prefix] + [x * c for x in form.head[k:]]
+        leaves = tuple((r, m, a * c, b * c) for r, m, a, b in form.leaves)
+        return LeafForm(max(form.start, k + 1), den, tuple(head), leaves)
 
     def to_obj(self) -> dict:
         return {

@@ -477,6 +477,42 @@ class TestSerialization:
         assert obj == {"kind": "eventually_constant", "runs": [["1", MAX_RUNS], ["0", 1]], "tail": "1"}
         assert element_from_obj(obj) == long
 
+    @pytest.mark.parametrize(
+        "prefix, tail",
+        [
+            (["2/4", "+3", " 1/3 ", "-0"], "0"),
+            (["1/2", "2/4", "3/6", 7, -2, "-14/4"], "-7/2"),
+            (["6/9", "4/6", "0/5"], "10/15"),
+            ([" -5/10 ", "+0/3", 0, "12/8"], " 3/2"),
+            ([], "+4/6"),
+            ([str(10**30) + "/" + str(3 * 10**30), "1/3"], "1/3"),
+        ],
+        ids=["unreduced_signed", "equal_neighbours", "all_merge_into_tail", "spaces", "tail_only", "large"],
+    )
+    def test_integer_parse_matches_fraction_path(self, prefix, tail):
+        # the prefix parsed as (p, q) pairs over one lcm, against one Fraction per entry
+        expected = EventuallyConstant.from_runs([(Fraction(str(v).strip()), 1) for v in prefix], Fraction(tail.strip()))
+        f = element_from_obj({"kind": "eventually_constant", "prefix": prefix, "tail": tail})
+        assert (f.den, f.ends, f.nums, f.tail_num) == (expected.den, expected.ends, expected.nums, expected.tail_num)
+        runs = element_from_obj({"kind": "eventually_constant", "runs": [[v, 2] for v in prefix], "tail": tail})
+        assert runs == EventuallyConstant.from_runs([(Fraction(str(v).strip()), 2) for v in prefix], Fraction(tail.strip()))
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1/0", "element.prefix[1]: not a rational 'p/q' string: '1/0'"),
+            (True, 'element.prefix[1]: expected an exact rational such as "3/4", got True'),
+            (1.5, 'element.prefix[1]: expected an exact rational such as "3/4", got 1.5'),
+            ("0.5", "element.prefix[1]: not a rational 'p/q' string: '0.5'"),
+            ("1" * 5001, "element.prefix[1]: not a rational 'p/q' string: '" + "1" * 40 + "'... (5001 characters)"),
+        ],
+        ids=["zero_denominator", "bool", "float", "decimal", "past_the_digit_limit"],
+    )
+    def test_prefix_value_rejections(self, value, message):
+        with pytest.raises(SchemaError) as exc:
+            element_from_obj({"kind": "eventually_constant", "prefix": ["1", value]})
+        assert str(exc.value) == message
+
     def test_norm_result_shapes(self):
         assert NormResult.exact(Fraction(3, 2)).to_obj() == {"exact": "3/2"}
         assert NormResult.bounds(1, 2, 64).to_obj() == {"lo": "1", "hi": "2", "horizon": 64}

@@ -198,6 +198,12 @@ class TestSelection:
         assert sel.kind == "running_min"
         assert sel.indices == (1, 2, 3)
 
+    @pytest.mark.parametrize("w", [Linear(0, 1), Constant(1)], ids=["divergent", "bounded"])
+    def test_negative_slack_is_rejected(self, w):
+        # the check comes before the divergent branch, which has no use for a slack
+        with pytest.raises(ValueError, match="slack must be >= 0"):
+            select_ai_subsequence(w, 3, Fraction(-1))
+
     def test_bounded_takes_initial_segment(self):
         sel = select_ai_subsequence(Constant(5), 3)
         assert sel.kind == "bounded_bai"

@@ -9,6 +9,7 @@ eventual-form oracles in _support.
 
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -431,6 +432,27 @@ class TestLeafForm:
         start = time.perf_counter()
         assert select_ai_subsequence(w, 1 << 14).indices == tuple(range(1, (1 << 14) + 1))
         assert time.perf_counter() - start < 2
+
+    def test_flat_divergent_selection_heaps_integers(self):
+        # 65,536 growing leaves: every index attains its running tail
+        # infimum, and each step of the heap compares scaled integers
+        w = Interleave((Linear(1, 1),) * (1 << 16))
+        w.classify()
+        start = time.perf_counter()
+        assert list(islice(w.selected_indices(), 1 << 14)) == list(range(1, (1 << 14) + 1))
+        assert time.perf_counter() - start < 0.5
+
+    @settings(deadline=None, max_examples=100)
+    @given(weight_families(), st.integers(1, 40))
+    def test_query_values_are_fractions(self, w, n):
+        # the leaf form is integers; every value a query returns is a Fraction
+        c = w.classify()
+        values = [c.sup, c.liminf, w.tail_infimum(n).value, w.at(n), *select_ai_subsequence(w, 5).norms]
+        try:
+            values.append(dyadic_jump_tail(w, n))
+        except DivergentVariationError:
+            pass
+        assert all(isinstance(v, Fraction) for v in values if v is not None)
 
     def test_jump_sum_walks_each_modulus_once(self):
         # 4,003 constant leaves of one prime modulus on which 2 has order
