@@ -15,7 +15,6 @@ import bisect
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, groupby, islice, repeat
 from typing import Callable
@@ -32,6 +31,7 @@ from .weights import (
     dyadic_jump_tail,
     echo,
     format_rational,
+    frozen,
     parse_ratio,
 )
 
@@ -73,7 +73,7 @@ def format_point(p: int | _Infinity) -> object:
     return "inf" if p is INFINITY else p
 
 
-@dataclass(frozen=True)
+@frozen
 class NormResult:
     """An exact rational norm value, or a certified interval [lo, hi].
 
@@ -83,14 +83,15 @@ class NormResult:
 
     lo: Fraction
     hi: Fraction
-    horizon: int | None = None
+    horizon: int | None
 
-    def __post_init__(self):
-        lo, hi = Fraction(self.lo), Fraction(self.hi)
+    def __init__(self, lo, hi, horizon=None):
+        lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError("interval endpoints out of order")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "horizon", horizon)
 
     @classmethod
     def exact(cls, value) -> "NormResult":
@@ -132,7 +133,7 @@ class NormResult:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class ClosedSet:
     """A representable closed subset of N ∪ {∞}.
 
@@ -140,14 +141,15 @@ class ClosedSet:
     subsets of N, optionally together with ∞.
     """
 
-    points: tuple[int, ...] = ()
-    with_infinity: bool = False
+    points: tuple[int, ...]
+    with_infinity: bool
 
-    def __post_init__(self):
-        pts = tuple(sorted(set(int(p) for p in self.points)))
+    def __init__(self, points=(), with_infinity=False):
+        pts = tuple(sorted(set(int(p) for p in points)))
         if any(p < 1 for p in pts):
             raise ValueError("closed-set points must be naturals >= 1")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "with_infinity", with_infinity)
 
     def contains(self, p) -> bool:
         if p is INFINITY:
@@ -175,7 +177,7 @@ def closed_set_from_obj(obj: object, path: str = "excluded") -> ClosedSet:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@frozen
 class IdealSpec:
     """One of the vanishing ideals attached to a closed set.
 
@@ -271,7 +273,7 @@ class Element:
         return self.scale(other)
 
 
-@dataclass(frozen=True, init=False)
+@frozen
 class EventuallyConstant(Element):
     """f(n) = prefix[n-1] up to the prefix length, then a constant tail.
 
@@ -422,7 +424,7 @@ ZERO = EventuallyConstant((), Fraction(0))
 ONE = EventuallyConstant((), Fraction(1))
 
 
-@dataclass(frozen=True)
+@frozen
 class DyadicDecay(Element):
     """The staircase f(j) = c * 2^{-k} on the block 2^{k-1} <= j < 2^k, f(∞) = 0.
 
@@ -432,10 +434,10 @@ class DyadicDecay(Element):
     the staircase stays exact.
     """
 
-    coefficient: Fraction = Fraction(1)
+    coefficient: Fraction
 
-    def __post_init__(self):
-        c = Fraction(self.coefficient)
+    def __init__(self, coefficient=1):
+        c = Fraction(coefficient)
         if c == 0:
             raise ValueError("the staircase coefficient must be nonzero")
         object.__setattr__(self, "coefficient", c)
@@ -596,13 +598,17 @@ def element_from_obj(obj: object, path: str = "element") -> Element:
         if "runs" in obj:
             if "prefix" in obj:
                 raise SchemaError(f"{path}.runs: give either prefix or runs, not both")
-            ratios, ends = _runs_from_obj(obj["runs"], f"{path}.runs")
+            values, ends = _runs_from_obj(obj["runs"], f"{path}.runs")
+            field = f"{path}.runs[", "][0]"
         else:
-            pre_obj = obj.get("prefix", [])
-            if not isinstance(pre_obj, list):
+            values = obj.get("prefix", [])
+            if not isinstance(values, list):
                 raise SchemaError(f"{path}.prefix: expected a list")
-            ratios = [parse_ratio(v, f"{path}.prefix[{i}]") for i, v in enumerate(pre_obj)]
-            ends = range(1, len(ratios) + 1)
+            ends, field = range(1, len(values) + 1), (f"{path}.prefix[", "]")
+        try:
+            ratios = list(map(parse_ratio, values))
+        except SchemaError:  # name the field, field[0] + index + field[1], only once a value is rejected
+            ratios = [parse_ratio(v, f"{field[0]}{i}{field[1]}") for i, v in enumerate(values)]
         tp, tq = parse_ratio(obj.get("tail", "0"), f"{path}.tail")
         den = math.lcm(tq, *{q for _, q in ratios})
         return EventuallyConstant._of(den, ends, [p * (den // q) for p, q in ratios], tp * (den // tq))
@@ -613,10 +619,10 @@ def element_from_obj(obj: object, path: str = "element") -> Element:
     )
 
 
-def _runs_from_obj(obj: object, path: str) -> tuple[list[tuple[int, int]], list[int]]:
+def _runs_from_obj(obj: object, path: str) -> tuple[list[object], list[int]]:
     if not isinstance(obj, list) or len(obj) > MAX_RUNS:
         raise SchemaError(f"{path}: expected a list of at most {MAX_RUNS} runs")
     for i, run in enumerate(obj):
         if not (isinstance(run, list) and len(run) == 2 and type(run[1]) is int and run[1] >= 1):
             raise SchemaError(f"{path}[{i}]: expected a [value, length] pair, the length a positive integer")
-    return [parse_ratio(v, f"{path}[{i}][0]") for i, (v, _) in enumerate(obj)], list(accumulate(n for _, n in obj))
+    return [v for v, _ in obj], list(accumulate(n for _, n in obj))

@@ -14,9 +14,6 @@ always exist once the weights diverge).
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, islice
 
@@ -28,7 +25,7 @@ from .algebra import (
     format_rational,
 )
 from .errors import HorizonExhausted, NotInMInfinityError
-from .weights import WeightFamily
+from .weights import WeightFamily, frozen
 
 DEFAULT_SELECTION_COUNT = 8
 MAX_SELECTION_COUNT = 1 << 16  # the CLI's budget on --count
@@ -38,7 +35,7 @@ KIND_BOUNDED_BAI = "bounded_bai"
 KIND_RUNNING_MIN = "running_min"
 
 
-@dataclass(frozen=True)
+@frozen
 class AiSelection:
     """A selected subsequence of truncation indices with their exact norms.
 
@@ -66,7 +63,7 @@ class AiSelection:
         return obj
 
 
-@dataclass(frozen=True)
+@frozen
 class DiagnosticRow:
     """Residual and boundary quantities sampled at one truncation index."""
 
@@ -85,6 +82,8 @@ class DiagnosticRow:
 
 
 def diagnostics_to_csv(rows: list[DiagnosticRow]) -> str:
+    import csv  # here, so that only `residuals --format csv` loads it
+    import io
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["n_k", "residual_lo", "residual_hi", "alpha_next", "alpha_self"])
@@ -150,17 +149,10 @@ def residual_diagnostics(
 ) -> list[DiagnosticRow]:
     """Sample the residual and the two boundary quantities at given indices."""
     _require_vanishes_at_infinity(f)
-    rows = []
-    for n in indices:
-        rows.append(
-            DiagnosticRow(
-                index=n,
-                residual=residual_norm(f, w, n, horizon),
-                alpha_next=w.at(n) * abs(f.at(n + 1)),
-                alpha_self=w.at(n) * abs(f.at(n)),
-            )
-        )
-    return rows
+    return [  # the residual first, so that f.at reads a rule-based f's memo
+        DiagnosticRow(n, residual_norm(f, w, n, horizon), w.at(n) * abs(f.at(n + 1)), w.at(n) * abs(f.at(n)))
+        for n in indices
+    ]
 
 
 def select_ai_subsequence(

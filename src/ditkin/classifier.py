@@ -13,7 +13,6 @@ can exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -40,6 +39,7 @@ from .weights import (
     WeightClassification,
     WeightFamily,
     format_rational,
+    frozen,
 )
 
 # what each report field rests on; "established" fields hold for every family
@@ -73,7 +73,7 @@ CITATIONS = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class PropertyReport:
     """Truth values plus witnesses for the regularity properties."""
 
@@ -151,7 +151,7 @@ def _unboundedness_points(
     return tuple(rows)
 
 
-@dataclass(frozen=True)
+@frozen
 class RelativeUnitWitness:
     """An element of the local vanishing ideal that is 1 on the excluded set."""
 
@@ -201,16 +201,8 @@ def relative_unit_witness(
     if excluded.contains(x):
         raise InvalidExcludedSet(f"the excluded set must not contain the point {x}")
     element = EventuallyConstant.from_runs(((1, x - 1), (0, 1)) if x > 1 else ((0, 1),), 1)
-    if x == 1:
-        norm = 1 + w.at(1)
-    else:
-        norm = 1 + w.at(x - 1) + w.at(x)
-    return RelativeUnitWitness(
-        point=x,
-        excluded_set_max=excluded.max_finite,
-        element=element,
-        norm=norm,
-    )
+    norm = 1 + (w.at(x - 1) if x > 1 else 0) + w.at(x)
+    return RelativeUnitWitness(point=x, excluded_set_max=excluded.max_finite, element=element, norm=norm)
 
 
 def dyadic_counterexample() -> tuple[WeightFamily, Element]:

@@ -22,7 +22,6 @@ import operator
 import re
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import count, pairwise
 
@@ -72,6 +71,32 @@ def echo(value: object) -> str:
     return f"{shown}... ({len(text)} characters)"
 
 
+def frozen(cls):
+    """`dataclass(frozen=True)` without generated code: the fields are the annotated names down the MRO, a class
+    attribute so named a default.  Every __init__ stores them by object.__setattr__: reading __dict__ makes a dict."""
+    names = tuple(dict.fromkeys(n for c in reversed(cls.__mro__) for n in c.__dict__.get("__annotations__", ())))
+    defaults, fields = {n: getattr(cls, n) for n in names if hasattr(cls, n)}, operator.attrgetter(*names)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):  # positional construction skips the binding
+            given = {**defaults, **dict(zip(names, args)), **kwargs}
+            if len(args) > len(names) or given.keys() != set(names) or kwargs.keys() & names[: len(args)]:
+                raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+            args = map(given.get, names)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def immutable(self, name, *value):
+        raise AttributeError(f"{cls.__name__} is immutable: cannot set or delete {name!r}")
+
+    cls.__init__ = cls.__dict__.get("__init__", __init__)
+    cls.__eq__ = lambda self, other: fields(self) == fields(other) if type(other) is type(self) else NotImplemented
+    cls.__hash__ = lambda self: hash(fields(self))
+    cls.__repr__ = lambda self: f"{cls.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+    cls.__setattr__ = cls.__delattr__ = immutable
+    return cls
+
+
 def format_rational(q: Fraction) -> str:
     """Lowest-terms string form, "p/q" or "p".  Every printed rational comes
     through here; one past the int-to-str digit limit is a SchemaError."""
@@ -81,7 +106,7 @@ def format_rational(q: Fraction) -> str:
         raise SchemaError(f"a result has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
-@dataclass(frozen=True)
+@frozen
 class TailInf:
     """Exact infimum of the weight tail {alpha_j : j >= at_index}.
 
@@ -94,7 +119,7 @@ class TailInf:
     attained_at: int
 
 
-@dataclass(frozen=True)
+@frozen
 class WeightClassification:
     """Exact asymptotic classification of a weight family.
 
@@ -126,7 +151,7 @@ class WeightClassification:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class EventualForm:
     """Dense normal form valid for n >= start: alpha_n = arms[n % modulus] at n.
 
@@ -143,7 +168,7 @@ class EventualForm:
         return self.arms[n % self.modulus]
 
 
-@dataclass(frozen=True)
+@frozen
 class LeafForm:
     """Sparse normal form in integers over one denominator den = D_w:
     D_w * alpha_n is head[n - 1] before start, and offset + slope*n past it
@@ -166,20 +191,31 @@ class LeafForm:
             groups.setdefault(m, {})[r] = a, b
         return groups
 
+    @functools.cached_property
+    def _residues(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:  # (m, offsets, slopes) by residue
+        ((m, group),) = self.by_modulus.items()
+        return (m, *zip(*map(group.get, range(m))))
+
     def values(self, indices) -> list[int]:
         """[D_w * alpha_n for n in indices], n >= 1, past the start from the leaf holding n."""
-        out, start, groups = [], self.start, tuple(self.by_modulus.items())
+        start, head, groups = self.start, self.head, self.by_modulus
+        if len(groups) == 1:  # the leaves of one modulus m cover every residue: read two lists
+            m, a, b = self._residues
+            return [a[r := n % m] + b[r] * n if n >= start else head[n - 1] if n > 0 else _below_1() for n in indices]
+        out, groups = [], tuple(groups.items())
         for n in indices:
             if n < start:
-                if n < 1:
-                    raise ValueError("index must be >= 1")
-                out.append(self.head[n - 1])
+                out.append(head[n - 1] if n > 0 else _below_1())
                 continue
             for m, group in groups:
                 if leaf := group.get(n % m):
                     out.append(leaf[0] + leaf[1] * n)
                     break
         return out
+
+
+def _below_1():
+    raise ValueError("index must be >= 1")
 
 
 class WeightFamily:
@@ -395,12 +431,12 @@ def dyadic_jump_tail(w: WeightFamily, start: int) -> Fraction:
     return Fraction(num, den * form.den)
 
 
-@dataclass(frozen=True)
+@frozen
 class Constant(WeightFamily):
     value: Fraction
 
-    def __post_init__(self):
-        v = Fraction(self.value)
+    def __init__(self, value):
+        v = Fraction(value)
         if v <= 0:
             raise ValueError("constant weight must be positive")
         object.__setattr__(self, "value", v)
@@ -418,15 +454,15 @@ class Constant(WeightFamily):
         return {"family": "constant", "value": format_rational(self.value)}
 
 
-@dataclass(frozen=True)
+@frozen
 class Linear(WeightFamily):
     """alpha_n = offset + slope * n with offset, slope >= 0, not both zero."""
 
     offset: Fraction
     slope: Fraction
 
-    def __post_init__(self):
-        a, b = Fraction(self.offset), Fraction(self.slope)
+    def __init__(self, offset, slope):
+        a, b = Fraction(offset), Fraction(slope)
         if a < 0 or b < 0 or (a == 0 and b == 0):
             raise ValueError("linear weights need offset >= 0, slope >= 0, not both zero")
         object.__setattr__(self, "offset", a)
@@ -449,14 +485,14 @@ class Linear(WeightFamily):
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class Interleave(WeightFamily):
     """alpha_n = parts[n % modulus] evaluated at n (global index, not sub-index)."""
 
     parts: tuple[WeightFamily, ...]
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts):
+        parts = tuple(parts)
         if len(parts) < 2:
             raise ValueError("interleave needs modulus >= 2")
         if not all(isinstance(p, WeightFamily) for p in parts):
@@ -517,20 +553,21 @@ class Interleave(WeightFamily):
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class PrefixOverride(WeightFamily):
     """Explicit first values, then the tail rule evaluated at the global index."""
 
     prefix: tuple[Fraction, ...]
     tail: WeightFamily
 
-    def __post_init__(self):
-        pre = tuple(Fraction(v) for v in self.prefix)
+    def __init__(self, prefix, tail):
+        pre = tuple(Fraction(v) for v in prefix)
         if any(v <= 0 for v in pre):
             raise ValueError("prefix weights must be positive")
-        if not isinstance(self.tail, WeightFamily):
+        if not isinstance(tail, WeightFamily):
             raise ValueError("prefix tail must be a weight family")
         object.__setattr__(self, "prefix", pre)
+        object.__setattr__(self, "tail", tail)
 
     def at(self, n: int) -> Fraction:
         if n < 1:
@@ -541,7 +578,7 @@ class PrefixOverride(WeightFamily):
 
     def _flatten(self) -> EventualForm:
         form = eventual_form(self.tail)
-        return replace(form, start=max(form.start, len(self.prefix) + 1))
+        return EventualForm(max(form.start, len(self.prefix) + 1), form.modulus, form.arms)
 
     @functools.cached_property
     def _leaves(self) -> LeafForm:

@@ -1,7 +1,11 @@
 """End-to-end CLI behaviour: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -456,3 +460,16 @@ class TestOversizedOutput:
             doc = {"family": "interleave", "parts": [doc] + [ONE] * (p - 1)}
         assert main(["classify", write_json(tmp_path / "w.json", doc)]) == 2
         _assert_one_line_input_error(capsys.readouterr(), "modulus 85085, over the cap of 65536")
+
+
+def test_import_footprint():
+    """`import ditkin.cli` loads no module that only code generation or the CSV
+    renderer would need, counted against what the interpreter had loaded before."""
+    code = "import sys; seen = set(sys.modules); import ditkin.cli; print(*sorted(set(sys.modules) - seen))"
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True
+    )
+    added = set(run.stdout.split())
+    assert {"ditkin", "ditkin.cli", "ditkin.weights"} <= added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "csv"}

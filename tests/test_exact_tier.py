@@ -9,14 +9,15 @@ values come from `w.at`, never from the leaf form that `scaled_at` reads.
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditkin import Constant, EventuallyConstant, Interleave, residual_diagnostics, residual_norm
+from ditkin import Constant, EventuallyConstant, Interleave, PrefixOverride, residual_diagnostics, residual_norm
 from ditkin.approx_identity import residual_oracle
 from ditkin.weights import eventual_form
 
-from _support import small_fractions, weight_families
+from _support import positive_fractions, small_fractions, weight_families, weight_leaves
 
 VALUES = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(7, 3)]) | small_fractions
 
@@ -109,6 +110,47 @@ class TestScaledAt:
         den, ints = w.scaled_at(indices)
         assert den >= 1 and len(ints) == len(indices)
         assert [Fraction(x, den) for x in ints] == [w.at(n) for n in indices]
+
+
+def _flat(parts):
+    return parts[0] if len(parts) == 1 else Interleave(tuple(parts))
+
+
+# a prefix over leaves that share one modulus: 1, 2 or 3
+ONE_MODULUS = st.builds(
+    lambda pre, parts: PrefixOverride(tuple(pre), _flat(parts)),
+    st.lists(positive_fractions, max_size=4),
+    st.lists(weight_leaves(), min_size=1, max_size=3),
+)
+# a prefix over Interleave(Interleave(a, b), c, d): leaves of modulus 6 and of modulus 3
+TWO_MODULI = st.builds(
+    lambda pre, inner, rest: PrefixOverride(tuple(pre), Interleave((_flat(inner), *rest))),
+    st.lists(positive_fractions, max_size=4),
+    st.lists(weight_leaves(), min_size=2, max_size=2),
+    st.lists(weight_leaves(), min_size=2, max_size=2),
+)
+
+
+class TestScaledAtLookups:
+    """`scaled_at` reads two residue-indexed lists when the leaves share one
+    modulus and searches the modulus groups otherwise; both must give
+    D_w * w.at(n), in the order asked, before the start as well as past it."""
+
+    @pytest.mark.parametrize("families, moduli", [(ONE_MODULUS, 1), (TWO_MODULI, 2)], ids=["one", "two"])
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_matches_d_w_times_at(self, families, moduli, data):
+        w = data.draw(families)
+        indices = data.draw(st.lists(st.integers(1, 40) | st.integers(1, 10**12), max_size=40))
+        assert len(w._leaves.by_modulus) == moduli
+        den, ints = w.scaled_at(indices)
+        assert ints == [den * w.at(n) for n in indices]
+        assert den * w.at(1) == w.scaled_at(range(1, 2))[1][0]
+
+    def test_an_index_below_one_is_rejected(self):
+        for w in (Constant(1), PrefixOverride((Fraction(2),), Interleave((Constant(1), Constant(2))))):
+            with pytest.raises(ValueError, match="index must be >= 1"):
+                w.scaled_at([3, 0])
 
 
 class TestRunsCost:

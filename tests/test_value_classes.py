@@ -1,0 +1,208 @@
+"""The contract of the 17 immutable value classes: structural equality within
+one class, hashing that agrees with it, a field-by-field repr, defaults and
+keyword construction, arity errors, no assignment or deletion, pickle and
+deepcopy round trips, and per-object caches that stay out of all of these."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from ditkin import (
+    INFINITY,
+    AiSelection,
+    ClosedSet,
+    Constant,
+    DiagnosticRow,
+    DyadicDecay,
+    EventuallyConstant,
+    IdealSpec,
+    Interleave,
+    Linear,
+    NormResult,
+    PrefixOverride,
+    PropertyReport,
+    RelativeUnitWitness,
+    TailInf,
+    WeightClassification,
+)
+from ditkin.weights import EventualForm, LeafForm
+
+F = Fraction
+
+
+def _classification():
+    return WeightClassification(sup=F(2), liminf=F(1), nondecreasing=False, diverges_to_infinity=False)
+
+
+# (constructor, pinned repr), one per class
+CASES = {
+    "TailInf": (lambda: TailInf(3, F(1, 2), 4), "TailInf(at_index=3, value=Fraction(1, 2), attained_at=4)"),
+    "WeightClassification": (
+        _classification,
+        "WeightClassification(sup=Fraction(2, 1), liminf=Fraction(1, 1), nondecreasing=False, "
+        "diverges_to_infinity=False)",
+    ),
+    "EventualForm": (
+        lambda: EventualForm(2, 2, ((F(1), F(0)), (F(0), F(1)))),
+        "EventualForm(start=2, modulus=2, arms=((Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1))))",
+    ),
+    "LeafForm": (
+        lambda: LeafForm(2, 2, (5,), ((0, 2, 2, 0), (1, 2, 0, 1))),
+        "LeafForm(start=2, den=2, head=(5,), leaves=((0, 2, 2, 0), (1, 2, 0, 1)))",
+    ),
+    "Constant": (lambda: Constant(F(3, 2)), "Constant(value=Fraction(3, 2))"),
+    "Linear": (lambda: Linear(1, F(1, 2)), "Linear(offset=Fraction(1, 1), slope=Fraction(1, 2))"),
+    "Interleave": (
+        lambda: Interleave((Constant(1), Linear(0, 1))),
+        "Interleave(parts=(Constant(value=Fraction(1, 1)), Linear(offset=Fraction(0, 1), slope=Fraction(1, 1))))",
+    ),
+    "PrefixOverride": (
+        lambda: PrefixOverride((5, F(1, 3)), Constant(1)),
+        "PrefixOverride(prefix=(Fraction(5, 1), Fraction(1, 3)), tail=Constant(value=Fraction(1, 1)))",
+    ),
+    "NormResult": (lambda: NormResult(1, F(3, 2), 8), "NormResult(lo=Fraction(1, 1), hi=Fraction(3, 2), horizon=8)"),
+    "ClosedSet": (lambda: ClosedSet((3, 1, 3), True), "ClosedSet(points=(1, 3), with_infinity=True)"),
+    "IdealSpec": (
+        lambda: IdealSpec(ClosedSet((2,)), True),
+        "IdealSpec(zero_set=ClosedSet(points=(2,), with_infinity=False), neighbourhood=True)",
+    ),
+    "EventuallyConstant": (
+        lambda: EventuallyConstant((F(1, 2), F(1, 2), 1), F(1)),
+        "EventuallyConstant(den=2, ends=(2,), nums=(1,), tail_num=2)",
+    ),
+    "DyadicDecay": (lambda: DyadicDecay(F(-2)), "DyadicDecay(coefficient=Fraction(-2, 1))"),
+    "AiSelection": (
+        lambda: AiSelection("running_min", (1, 3), (F(2), F(4))),
+        "AiSelection(kind='running_min', indices=(1, 3), norms=(Fraction(2, 1), Fraction(4, 1)), "
+        "liminf=None, slack=None)",
+    ),
+    "DiagnosticRow": (
+        lambda: DiagnosticRow(2, NormResult.exact(1), F(1, 2), F(0)),
+        "DiagnosticRow(index=2, residual=NormResult(lo=Fraction(1, 1), hi=Fraction(1, 1), horizon=None), "
+        "alpha_next=Fraction(1, 2), alpha_self=Fraction(0, 1))",
+    ),
+    "PropertyReport": (
+        lambda: PropertyReport(_classification(), *[True] * 8, F(5), None, None),
+        "PropertyReport(classification=WeightClassification(sup=Fraction(2, 1), liminf=Fraction(1, 1), "
+        "nondecreasing=False, diverges_to_infinity=False), ditkin=True, strongly_regular=True, "
+        "spectral_synthesis=True, separable=True, strong_ditkin=True, m_infinity_has_bai=True, "
+        "bru_bade=True, bru_dales=True, dales_bound=Fraction(5, 1), bade_witness=None, "
+        "unboundedness_witness=None)",
+    ),
+    "RelativeUnitWitness": (
+        lambda: RelativeUnitWitness(INFINITY, 1, EventuallyConstant((1,)), F(2)),
+        "RelativeUnitWitness(point=INFINITY, excluded_set_max=1, "
+        "element=EventuallyConstant(den=1, ends=(1,), nums=(1,), tail_num=0), norm=Fraction(2, 1))",
+    ),
+}
+NAMES = sorted(CASES)
+# classes whose constructor is not one argument per field
+OWN_SIGNATURE = {"EventuallyConstant"}
+ALL_DEFAULTS = {"ClosedSet", "DyadicDecay", "EventuallyConstant"}
+
+
+def make(name):
+    return CASES[name][0]()
+
+
+class _Twin:
+    """A class of its own, to carry another object's field values."""
+
+
+def test_seventeen_classes():
+    assert len(CASES) == 17 and all(type(make(name)).__name__ == name for name in NAMES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+class TestValueClass:
+    def test_equality_and_hash_agree(self, name):
+        a, b = make(name), make(name)
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_other_classes_with_the_same_values_differ(self, name):
+        a = make(name)
+        twin = _Twin()
+        twin.__dict__.update(vars(a))
+        assert a != twin and twin != a
+        assert a != tuple(vars(a).values()) and a != vars(a)
+
+    def test_repr_is_pinned(self, name):
+        assert repr(make(name)) == CASES[name][1]
+
+    def test_no_assignment_or_deletion(self, name):
+        a = make(name)
+        field = next(iter(vars(a)))
+        with pytest.raises(AttributeError):
+            setattr(a, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        with pytest.raises(AttributeError):
+            a.extra = 0
+        assert a == make(name) and not hasattr(a, "extra")
+
+    def test_positional_and_keyword_construction(self, name):
+        a = make(name)
+        if name in OWN_SIGNATURE:
+            return
+        assert type(a)(*vars(a).values()) == a
+        assert type(a)(**vars(a)) == a
+
+    def test_wrong_arity_is_a_type_error(self, name):
+        a = make(name)
+        with pytest.raises(TypeError):
+            type(a)(*vars(a).values(), 0, 0, 0)
+        with pytest.raises(TypeError):
+            type(a)(no_such_field=0)
+        if name not in ALL_DEFAULTS:
+            with pytest.raises(TypeError):
+                type(a)()
+        if name not in OWN_SIGNATURE:
+            first, value = next(iter(vars(a).items()))
+            with pytest.raises(TypeError):
+                type(a)(value, **{first: value})
+
+    def test_pickle_and_deepcopy_round_trip(self, name):
+        a = make(name)
+        for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+            assert type(b) is type(a) and b == a and hash(b) == hash(a) and repr(b) == repr(a)
+
+
+def test_defaults_and_keywords():
+    s = AiSelection(kind="bounded_bai", indices=(1,), norms=(F(2),))
+    assert s.liminf is None and s.slack is None
+    assert AiSelection("k", (), (), liminf=F(1)).slack is None
+    assert NormResult(lo=1, hi=2).horizon is None
+    assert ClosedSet() == ClosedSet(points=(), with_infinity=False)
+    assert DyadicDecay() == DyadicDecay(coefficient=F(1))
+    assert Linear(slope=2, offset=1) == Linear(1, 2)
+    assert EventuallyConstant(tail=F(3)) == EventuallyConstant((), 3)
+
+
+def test_equal_values_in_other_classes_differ():
+    assert Constant(F(1)) != DyadicDecay(F(1))
+    assert TailInf(1, F(1), 1) != (1, F(1), 1)
+    assert Linear(1, 0) != Constant(1) and Linear(1, 0).at(5) == Constant(1).at(5)
+    assert IdealSpec(ClosedSet(), False) != IdealSpec(ClosedSet(), True)
+
+
+@pytest.mark.parametrize(
+    "make_obj, fill",
+    [
+        (lambda: Linear(1, 2), lambda w: (w.classify(), w._leaves)),
+        (lambda: Interleave((Constant(1), Linear(0, 1))), lambda w: (w.classify(), w._leaves)),
+        (lambda: PrefixOverride((F(3),), Linear(0, 1)), lambda w: (w.classify(), w._leaves)),
+        (lambda: LeafForm(2, 2, (5,), ((0, 2, 2, 0), (1, 2, 0, 1))), lambda f: f.values(range(1, 6))),
+        (lambda: EventuallyConstant((1, 2), 0), lambda f: (f.sup_norm(), f.weighted_variation(Constant(1)))),
+    ],
+    ids=["linear", "interleave", "prefix", "leaf_form", "eventually_constant"],
+)
+def test_filled_caches_stay_out_of_value(make_obj, fill):
+    a, fresh = make_obj(), make_obj()
+    h, r, fields = hash(a), repr(a), dict(vars(a))
+    fill(a)
+    assert len(vars(a)) > len(fields)  # a cache now sits in the instance dict
+    assert a == fresh and fresh == a and hash(a) == h == hash(fresh) and repr(a) == r
+    assert pickle.loads(pickle.dumps(a)) == fresh and copy.deepcopy(a) == fresh
