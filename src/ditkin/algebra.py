@@ -145,7 +145,7 @@ class ClosedSet:
     with_infinity: bool
 
     def __init__(self, points=(), with_infinity=False):
-        pts = tuple(sorted(set(int(p) for p in points)))
+        pts = tuple(sorted(set(map(operator.index, points))))
         if any(p < 1 for p in pts):
             raise ValueError("closed-set points must be naturals >= 1")
         object.__setattr__(self, "points", pts)
@@ -210,17 +210,23 @@ class IdealSpec:
 def _singleton(point) -> ClosedSet:
     if point is INFINITY:
         return ClosedSet((), with_infinity=True)
-    return ClosedSet((int(point),), with_infinity=False)
+    return ClosedSet((point,), with_infinity=False)
 
 
 class Element:
-    """A continuous function on N ∪ {∞}; see the concrete tiers below."""
+    """A continuous function on N ∪ {∞}; see the concrete tiers below.  A tier
+    supplies _at(n) for a checked n, the limit f(∞), scale and the two tail functionals."""
 
     def at(self, p) -> Fraction:
-        raise NotImplementedError
+        """f(p) for an integer point p >= 1, or the limit at INFINITY; the one check of a point."""
+        if p is INFINITY:
+            return self.limit
+        if (n := operator.index(p)) < 1:
+            raise ValueError("points of N start at 1")
+        return self._at(n)
 
-    def limit_value(self) -> Fraction:
-        return self.at(INFINITY)
+    def _at(self, n: int) -> Fraction:
+        raise NotImplementedError
 
     def scale(self, c) -> "Element":
         raise NotImplementedError
@@ -237,15 +243,13 @@ class Element:
         raise NotImplementedError
 
     # norms scan the window [1, h]
-    def sup_norm(self, horizon: int | None = None) -> NormResult:
-        h = DEFAULT_HORIZON if horizon is None else horizon
-        return self.tail_sup(1, h, h)
+    def sup_norm(self, horizon: int = DEFAULT_HORIZON) -> NormResult:
+        return self.tail_sup(1, horizon, horizon)
 
-    def weighted_variation(self, w: WeightFamily, horizon: int | None = None) -> NormResult:
-        h = DEFAULT_HORIZON if horizon is None else horizon
-        return self.tail_variation(w, 1, h, h)
+    def weighted_variation(self, w: WeightFamily, horizon: int = DEFAULT_HORIZON) -> NormResult:
+        return self.tail_variation(w, 1, horizon, horizon)
 
-    def norm(self, w: WeightFamily, horizon: int | None = None) -> NormResult:
+    def norm(self, w: WeightFamily, horizon: int = DEFAULT_HORIZON) -> NormResult:
         return self.sup_norm(horizon) + self.weighted_variation(w, horizon)
 
     def in_ideal(self, spec: IdealSpec) -> bool:
@@ -338,12 +342,9 @@ class EventuallyConstant(Element):
     def tail(self) -> Fraction:
         return Fraction(self.tail_num, self.den)
 
-    def at(self, p) -> Fraction:
-        if p is INFINITY:
-            return self.tail
-        n = int(p)
-        if n < 1:
-            raise ValueError("points of N start at 1")
+    limit = tail
+
+    def _at(self, n: int) -> Fraction:
         i = bisect.bisect_left(self.ends, n)
         return Fraction(self.nums[i] if i < len(self.nums) else self.tail_num, self.den)
 
@@ -435,6 +436,7 @@ class DyadicDecay(Element):
     """
 
     coefficient: Fraction
+    limit = Fraction(0)
 
     def __init__(self, coefficient=1):
         c = Fraction(coefficient)
@@ -442,12 +444,7 @@ class DyadicDecay(Element):
             raise ValueError("the staircase coefficient must be nonzero")
         object.__setattr__(self, "coefficient", c)
 
-    def at(self, p) -> Fraction:
-        if p is INFINITY:
-            return Fraction(0)
-        n = int(p)
-        if n < 1:
-            raise ValueError("points of N start at 1")
+    def _at(self, n: int) -> Fraction:
         return self.coefficient / (1 << n.bit_length())
 
     def scale(self, c) -> Element:
@@ -503,12 +500,7 @@ class RuleBased(Element):
                 "rule-based elements must certify an unweighted variation tail"
             )
 
-    def at(self, p) -> Fraction:
-        if p is INFINITY:
-            return self.limit
-        n = int(p)
-        if n < 1:
-            raise ValueError("points of N start at 1")
+    def _at(self, n: int) -> Fraction:
         if n <= len(self._values):
             return self._values[n - 1]
         return Fraction(self._value_at(n))

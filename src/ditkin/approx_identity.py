@@ -108,13 +108,11 @@ def prefix_indicator(k: int) -> EventuallyConstant:
 
 
 def _require_vanishes_at_infinity(f: Element) -> None:
-    if f.limit_value() != 0:
+    if f.limit != 0:
         raise NotInMInfinityError("the element must vanish at infinity")
 
 
-def residual_norm(
-    f: Element, w: WeightFamily, k: int, horizon: int | None = None
-) -> NormResult:
+def residual_norm(f: Element, w: WeightFamily, k: int, horizon: int = DEFAULT_HORIZON) -> NormResult:
     """||f - e_k f|| split into its three exact pieces: the tail sup and the
     tail variation from k+1 on, plus the boundary term alpha_k * |f(k+1)|.
 
@@ -125,8 +123,8 @@ def residual_norm(
     if k < 1:
         raise ValueError("index must be >= 1")
     _require_vanishes_at_infinity(f)
-    h = DEFAULT_HORIZON if horizon is None else horizon
-    body = f.tail_sup(k + 1, k + h + 1, h) + f.tail_variation(w, k + 1, k + h + 1, h)
+    end = k + horizon + 1
+    body = f.tail_sup(k + 1, end, horizon) + f.tail_variation(w, k + 1, end, horizon)
     # the boundary term comes last, so a rule-based f(k+1) is read from the memo
     third = w.at(k) * abs(f.at(k + 1))
     return NormResult(body.lo + third, body.hi + third, body.horizon)
@@ -145,7 +143,7 @@ def residual_oracle(f: EventuallyConstant, w: WeightFamily, k: int) -> NormResul
 
 
 def residual_diagnostics(
-    f: Element, w: WeightFamily, indices: list[int], horizon: int | None = None
+    f: Element, w: WeightFamily, indices: list[int], horizon: int = DEFAULT_HORIZON
 ) -> list[DiagnosticRow]:
     """Sample the residual and the two boundary quantities at given indices."""
     _require_vanishes_at_infinity(f)
@@ -180,7 +178,7 @@ def ditkin_approximation(
     f: Element,
     w: WeightFamily,
     tol: Fraction,
-    horizon: int | None = None,
+    horizon: int = DEFAULT_HORIZON,
     search_bound: int = DEFAULT_SEARCH_BOUND,
 ) -> tuple[int, NormResult]:
     """A truncation index k with certified residual ||f - e_k f|| <= tol.

@@ -13,6 +13,7 @@ can exist.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .algebra import (
@@ -73,6 +74,11 @@ CITATIONS = {
 }
 
 
+# the report's truth values, in output order
+PROPERTIES = ("ditkin", "strongly_regular", "spectral_synthesis", "separable",
+              "strong_ditkin", "m_infinity_has_bai", "bru_bade", "bru_dales")
+
+
 @frozen
 class PropertyReport:
     """Truth values plus witnesses for the regularity properties."""
@@ -92,14 +98,7 @@ class PropertyReport:
 
     def to_obj(self) -> dict:
         return {
-            "ditkin": self.ditkin,
-            "strongly_regular": self.strongly_regular,
-            "spectral_synthesis": self.spectral_synthesis,
-            "separable": self.separable,
-            "strong_ditkin": self.strong_ditkin,
-            "m_infinity_has_bai": self.m_infinity_has_bai,
-            "bru_bade": self.bru_bade,
-            "bru_dales": self.bru_dales,
+            **{name: getattr(self, name) for name in PROPERTIES},
             "dales_bound": (
                 format_rational(self.dales_bound) if self.dales_bound is not None else None
             ),
@@ -114,9 +113,7 @@ class PropertyReport:
         }
 
 
-def property_report(
-    w: WeightFamily, witness_count: int = DEFAULT_SELECTION_COUNT
-) -> PropertyReport:
+def property_report(w: WeightFamily) -> PropertyReport:
     cls = w.classify()
     liminf_finite = cls.liminf is not None
     bounded = cls.sup is not None
@@ -131,12 +128,8 @@ def property_report(
         bru_bade=liminf_finite,
         bru_dales=bounded,
         dales_bound=(2 * cls.sup + 1) if bounded else None,
-        bade_witness=(
-            select_ai_subsequence(w, witness_count) if liminf_finite else None
-        ),
-        unboundedness_witness=(
-            None if bounded else _unboundedness_points(w, witness_count)
-        ),
+        bade_witness=select_ai_subsequence(w, DEFAULT_SELECTION_COUNT) if liminf_finite else None,
+        unboundedness_witness=None if bounded else _unboundedness_points(w, DEFAULT_SELECTION_COUNT),
     )
 
 
@@ -195,7 +188,7 @@ def relative_unit_witness(
             norm=1 + w.at(k),
         )
 
-    x = int(point)
+    x = operator.index(point)
     if x < 1:
         raise InvalidExcludedSet("points of N start at 1")
     if excluded.contains(x):

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 from .algebra import closed_set_from_obj, element_from_obj, format_point, parse_point
 from .approx_identity import DEFAULT_SELECTION_COUNT, MAX_SELECTION_COUNT, diagnostics_to_csv
 from .approx_identity import residual_diagnostics, select_ai_subsequence
-from .classifier import dyadic_counterexample, property_report, relative_unit_witness, repro_checks
+from .classifier import PROPERTIES, dyadic_counterexample, property_report, relative_unit_witness, repro_checks
 from .errors import DitkinError, SchemaError
 from .weights import WeightFamily, format_rational, parse_rational, weight_family_from_obj
 
@@ -113,14 +113,10 @@ def _json(result) -> str:
     return json.dumps(result if isinstance(result, dict) else result.to_obj(), indent=2)
 
 
-_REPORT_TABLE_KEYS = ("ditkin", "strongly_regular", "spectral_synthesis", "separable",
-                      "strong_ditkin", "m_infinity_has_bai", "bru_bade", "bru_dales", "dales_bound")
-
-
 def _classify_table(report) -> str:
     obj = report.to_obj()
     cls = obj["classification"]
-    lines = [f"{key} = {obj[key]}" for key in _REPORT_TABLE_KEYS] + [
+    lines = [f"{key} = {obj[key]}" for key in (*PROPERTIES, "dales_bound")] + [
         f"bounded = {cls['bounded']} (sup = {cls['sup']})",
         f"liminf = {cls['liminf'] if cls['liminf_finite'] else 'infinite'}",
         f"nondecreasing = {cls['nondecreasing']}",

@@ -73,7 +73,7 @@ def echo(value: object) -> str:
 
 def frozen(cls):
     """`dataclass(frozen=True)` without generated code: the fields are the annotated names down the MRO, a class
-    attribute so named a default.  Every __init__ stores them by object.__setattr__: reading __dict__ makes a dict."""
+    attribute so named a default.  Every __init__ but EventuallyConstant's stores them by object.__setattr__."""
     names = tuple(dict.fromkeys(n for c in reversed(cls.__mro__) for n in c.__dict__.get("__annotations__", ())))
     defaults, fields = {n: getattr(cls, n) for n in names if hasattr(cls, n)}, operator.attrgetter(*names)
 
@@ -225,7 +225,12 @@ class WeightFamily:
     object, in the instance dict, so they take no part in __eq__ or __hash__."""
 
     def at(self, n: int) -> Fraction:
-        """Exact value of alpha_n for n >= 1."""
+        """Exact value of alpha_n for an integer n >= 1; the one check of an index."""
+        if (n := operator.index(n)) < 1:
+            raise ValueError("index must be >= 1")
+        return self._at(n)
+
+    def _at(self, n: int) -> Fraction:  # alpha_n for a checked n
         raise NotImplementedError
 
     def _flatten(self) -> EventualForm:
@@ -441,9 +446,7 @@ class Constant(WeightFamily):
             raise ValueError("constant weight must be positive")
         object.__setattr__(self, "value", v)
 
-    def at(self, n: int) -> Fraction:
-        if n < 1:
-            raise ValueError("index must be >= 1")
+    def _at(self, n: int) -> Fraction:
         return self.value
 
     @property
@@ -468,9 +471,7 @@ class Linear(WeightFamily):
         object.__setattr__(self, "offset", a)
         object.__setattr__(self, "slope", b)
 
-    def at(self, n: int) -> Fraction:
-        if n < 1:
-            raise ValueError("index must be >= 1")
+    def _at(self, n: int) -> Fraction:
         return self.offset + self.slope * n
 
     @property
@@ -503,10 +504,8 @@ class Interleave(WeightFamily):
     def modulus(self) -> int:
         return len(self.parts)
 
-    def at(self, n: int) -> Fraction:
-        if n < 1:
-            raise ValueError("index must be >= 1")
-        return self.parts[n % self.modulus].at(n)
+    def _at(self, n: int) -> Fraction:
+        return self.parts[n % self.modulus]._at(n)
 
     def _flatten(self) -> EventualForm:
         inner = [eventual_form(p) for p in self.parts]
@@ -542,7 +541,7 @@ class Interleave(WeightFamily):
                 t = (r - i) // g * pow(M // g, -1, m // g) % (m // g)  # n = i + M*t
                 leaves.append((i + M * t, lcm, a * c, b * c))
         start = max(form.start for form in forms)
-        head = tuple(v.numerator * (den // v.denominator) for v in map(self.at, range(1, start)))
+        head = tuple(v.numerator * (den // v.denominator) for v in map(self._at, range(1, start)))
         return LeafForm(start, den, head, tuple(leaves))
 
     def to_obj(self) -> dict:
@@ -569,12 +568,8 @@ class PrefixOverride(WeightFamily):
         object.__setattr__(self, "prefix", pre)
         object.__setattr__(self, "tail", tail)
 
-    def at(self, n: int) -> Fraction:
-        if n < 1:
-            raise ValueError("index must be >= 1")
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
-        return self.tail.at(n)
+    def _at(self, n: int) -> Fraction:
+        return self.prefix[n - 1] if n <= len(self.prefix) else self.tail._at(n)
 
     def _flatten(self) -> EventualForm:
         form = eventual_form(self.tail)
