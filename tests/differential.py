@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -76,9 +75,9 @@ def family_records(seed: int):
     yield _outcome(lambda: dk.residual_diagnostics(f, w, sorted(rng.sample(range(1, 40), 4))))
 
 
-def digest(families: int = FAMILIES) -> tuple[str, int]:
+def digest() -> tuple[str, int]:
     h, size = hashlib.sha256(), 0
-    for seed in range(families):
+    for seed in range(FAMILIES):
         for record in family_records(seed):
             data = record.encode() + b"\n"
             h.update(data)
@@ -87,6 +86,5 @@ def digest(families: int = FAMILIES) -> tuple[str, int]:
 
 
 if __name__ == "__main__":
-    families = int(sys.argv[1]) if len(sys.argv) > 1 else FAMILIES
-    value, size = digest(families)
-    print(f"{value} {size} bytes {families} families")
+    value, size = digest()
+    print(f"{value} {size} bytes {FAMILIES} families")

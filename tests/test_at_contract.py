@@ -78,16 +78,15 @@ def test_non_integer_point_raises_type_error(name, point):
 @pytest.mark.parametrize("name", FAMILIES)
 def test_family_values(name):
     w, expected = FAMILIES[name]
-    assert [w.at(n) for n in range(1, 41)] == [expected(n) for n in range(1, 41)]
+    got = [w.at(n) for n in range(1, 41)]
+    assert got == [expected(n) for n in range(1, 41)]
+    assert all(type(v) is F for v in got)
 
 
 @pytest.mark.parametrize("name", ELEMENTS)
 def test_element_values_and_limit(name):
     f, expected, limit = ELEMENTS[name]
-    assert [f.at(n) for n in range(1, 41)] == [expected(n) for n in range(1, 41)]
+    got = [f.at(n) for n in range(1, 41)]
+    assert got == [expected(n) for n in range(1, 41)]
+    assert all(type(v) is F for v in got)
     assert f.at(INFINITY) == limit
-
-
-@pytest.mark.parametrize("name", SUBJECTS)
-def test_values_are_fractions(name):
-    assert all(type(SUBJECTS[name].at(n)) is F for n in range(1, 41))
