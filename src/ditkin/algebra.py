@@ -32,6 +32,7 @@ from .weights import (
     echo,
     format_rational,
     frozen,
+    natural,
     parse_ratio,
 )
 
@@ -116,7 +117,7 @@ class NormResult:
         if self.is_exact and other.is_exact:
             return NormResult.exact(self.lo + other.lo)
         horizons = [h for h in (self.horizon, other.horizon) if h is not None]
-        return NormResult(self.lo + other.lo, self.hi + other.hi, max(horizons))
+        return NormResult(self.lo + other.lo, self.hi + other.hi, max(horizons, default=None))
 
     def __str__(self) -> str:
         if self.is_exact:
@@ -145,9 +146,7 @@ class ClosedSet:
     with_infinity: bool
 
     def __init__(self, points=(), with_infinity=False):
-        pts = tuple(sorted(set(map(operator.index, points))))
-        if any(p < 1 for p in pts):
-            raise ValueError("closed-set points must be naturals >= 1")
+        pts = tuple(sorted({natural(p, "closed-set points must be naturals >= 1") for p in points}))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "with_infinity", with_infinity)
 
@@ -221,9 +220,7 @@ class Element:
         """f(p) for an integer point p >= 1, or the limit at INFINITY; the one check of a point."""
         if p is INFINITY:
             return self.limit
-        if (n := operator.index(p)) < 1:
-            raise ValueError("points of N start at 1")
-        return self._at(n)
+        return self._at(natural(p, "points of N start at 1"))
 
     def _at(self, n: int) -> Fraction:
         raise NotImplementedError
@@ -233,7 +230,7 @@ class Element:
 
     # The two tail functionals every tier provides.  Only the rule-based tier
     # reads the window [start, end], certifies the rest from end + 1 on and
-    # labels its interval with horizon; the exact tiers ignore both.
+    # labels its interval with horizon; the exact tiers check start alone.
     def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
         """sup |f(j)| over j >= start, the limit f(∞) included."""
         raise NotImplementedError
@@ -307,9 +304,7 @@ class EventuallyConstant(Element):
         return object.__new__(cls)._set(den, ends, nums, tail)
 
     def _set_runs(self, runs, tail) -> "EventuallyConstant":
-        runs = [(v if type(v) is Fraction else Fraction(v), n) for v, n in runs]
-        if any(n < 1 for _, n in runs):
-            raise ValueError("run lengths must be >= 1")
+        runs = [(v if type(v) is Fraction else Fraction(v), natural(n, "run lengths must be >= 1")) for v, n in runs]
         t = Fraction(tail)
         den = math.lcm(t.denominator, *{v.denominator for v, _ in runs})
         nums = [v.numerator * (den // v.denominator) for v, _ in runs]
@@ -393,11 +388,12 @@ class EventuallyConstant(Element):
         return {}
 
     def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
-        i = bisect.bisect_left(self.ends, start)  # the run holding start
+        i = bisect.bisect_left(self.ends, natural(start, "start must be >= 1"))  # the run holding start
         return NormResult.exact(Fraction(self._sups[i], self.den))
 
     def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
         # every jump sits at a run end
+        start = natural(start, "start must be >= 1")
         if not self.ends:  # also keeps the shared ZERO and ONE free of memo entries
             return NormResult.exact(0)
         memo = self._sums.get(id(w))
@@ -453,7 +449,7 @@ class DyadicDecay(Element):
 
     def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
         # |f| is nonincreasing, so the first value is the sup
-        return NormResult.exact(abs(self.at(start)))
+        return NormResult.exact(abs(self._at(natural(start, "start must be >= 1"))))
 
     def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
         return NormResult.exact(abs(self.coefficient) * dyadic_jump_tail(w, start))

@@ -14,6 +14,7 @@ always exist once the weights diverge).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import groupby, islice
 
@@ -25,7 +26,7 @@ from .algebra import (
     format_rational,
 )
 from .errors import HorizonExhausted, NotInMInfinityError
-from .weights import WeightFamily, frozen
+from .weights import WeightFamily, frozen, natural
 
 DEFAULT_SELECTION_COUNT = 8
 MAX_SELECTION_COUNT = 1 << 16  # the CLI's budget on --count
@@ -102,9 +103,7 @@ def diagnostics_to_csv(rows: list[DiagnosticRow]) -> str:
 
 def prefix_indicator(k: int) -> EventuallyConstant:
     """The indicator of {1, ..., k}: ones up to k, zero beyond and at ∞."""
-    if k < 1:
-        raise ValueError("index must be >= 1")
-    return EventuallyConstant.from_runs(((1, k),))
+    return EventuallyConstant.from_runs(((1, natural(k)),))
 
 
 def _require_vanishes_at_infinity(f: Element) -> None:
@@ -120,8 +119,7 @@ def residual_norm(f: Element, w: WeightFamily, k: int, horizon: int = DEFAULT_HO
     for rule-based elements, which scan the window [k+1, k+h+1] and certify
     the tail from k+h+2 on.
     """
-    if k < 1:
-        raise ValueError("index must be >= 1")
+    k = natural(k)
     _require_vanishes_at_infinity(f)
     end = k + horizon + 1
     body = f.tail_sup(k + 1, end, horizon) + f.tail_variation(w, k + 1, end, horizon)
@@ -159,8 +157,7 @@ def select_ai_subsequence(
     """The first count indices of `w.selected_indices(1, slack)`, an
     approximate identity for the ideal at ∞: kind running_min for divergent
     weights, else the norm-bounded kind bounded_bai."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = natural(count, "count must be >= 1")
     indices = tuple(islice(w.selected_indices(1, slack), count))
     den, scaled = w.scaled_at(indices)
     norms = tuple(Fraction(den + v, den) for v in scaled)
@@ -199,7 +196,7 @@ def ditkin_approximation(
         k = max(f.support, 1)
         return k, residual_norm(f, w, k, horizon)
 
-    thresholds = (1 << i for i in range(max(search_bound, 0).bit_length()))
+    thresholds = (1 << i for i in range(max(operator.index(search_bound), 0).bit_length()))
     for k, _ in groupby(next(w.selected_indices(t)) for t in thresholds):
         res = residual_norm(f, w, k, horizon)
         if res.hi <= tol:

@@ -201,11 +201,12 @@ class LeafForm:
         start, head, groups = self.start, self.head, self.by_modulus
         if len(groups) == 1:  # the leaves of one modulus m cover every residue: read two lists
             m, a, b = self._residues
-            return [a[r := n % m] + b[r] * n if n >= start else head[n - 1] if n > 0 else _below_1() for n in indices]
+            # past the start a non-integer n fails as a list index, a[n % m]
+            return [a[r := n % m] + b[r] * n if n >= start else head[natural(n) - 1] for n in indices]
         out, groups = [], tuple(groups.items())
-        for n in indices:
+        for n in map(natural, indices):
             if n < start:
-                out.append(head[n - 1] if n > 0 else _below_1())
+                out.append(head[n - 1])
                 continue
             for m, group in groups:
                 if leaf := group.get(n % m):
@@ -214,8 +215,12 @@ class LeafForm:
         return out
 
 
-def _below_1():
-    raise ValueError("index must be >= 1")
+def natural(n, message: str = "index must be >= 1") -> int:
+    """n as an int, for an index, start, count or run length: TypeError for a
+    non-integer, ValueError(message) below 1.  Every such argument comes through here."""
+    if (n := operator.index(n)) < 1:
+        raise ValueError(message)
+    return n
 
 
 class WeightFamily:
@@ -226,9 +231,7 @@ class WeightFamily:
 
     def at(self, n: int) -> Fraction:
         """Exact value of alpha_n for an integer n >= 1; the one check of an index."""
-        if (n := operator.index(n)) < 1:
-            raise ValueError("index must be >= 1")
-        return self._at(n)
+        return self._at(natural(n))
 
     def _at(self, n: int) -> Fraction:  # alpha_n for a checked n
         raise NotImplementedError
@@ -250,7 +253,7 @@ class WeightFamily:
         of operator.gt, le and eq (past the leaf form's start, eq on constant leaves
         only).  With p/q = D_w * t a value before the start is tested alone, and a
         leaf past it passes on a progression up to or from where a + b*n crosses p/q."""
-        form = self._leaves
+        form, at_or_after = self._leaves, natural(at_or_after)
         p, q = t.numerator * form.den, t.denominator
         yield from (j for j, v in enumerate(form.values(range(at_or_after, form.start)), at_or_after) if op(q * v, p))
         base, heap = max(at_or_after, form.start), []
@@ -290,8 +293,7 @@ class WeightFamily:
         for divergent weights the attainers of their own running tail infimum;
         for a finite liminf every index of bounded weights, else the liminf's
         attainers, or with a slack >= 0 each n with alpha_n <= liminf + slack."""
-        if at_or_after < 1:
-            raise ValueError("index must be >= 1")
+        at_or_after = natural(at_or_after)
         if slack is not None and slack < 0:
             raise ValueError("slack must be >= 0")
         cls = self.classify()
@@ -309,6 +311,7 @@ class WeightFamily:
 
     def tail_infimum(self, n: int) -> TailInf:
         """Exact inf{alpha_j : j >= n} with the earliest attaining index."""
+        n = natural(n)
         value, k = next(self._running_minima(n))
         return TailInf(n, Fraction(value, self._leaves.den), k)
 
@@ -399,10 +402,8 @@ def dyadic_jump_tail(w: WeightFamily, start: int) -> Fraction:
     DivergentVariationError when a growing leaf recurs in the cycle, in
     which case the series has no finite value at all.
     """
-    if start < 1:
-        raise ValueError("start must be >= 1")
     form = w._leaves
-    k = start.bit_length()  # the least k with 2^k - 1 >= start
+    k = natural(start, "start must be >= 1").bit_length()  # the least k with 2^k - 1 >= start
     num, den = 0, 1 << k  # the sum so far is num / (den * D_w)
     while (1 << k) - 1 < form.start:
         num, den = 2 * num + form.head[(1 << k) - 2], 2 * den

@@ -181,6 +181,11 @@ class TestNorm:
     def test_unit_norm(self):
         assert ONE.norm(Linear(0, 7)) == NormResult.exact(1)
 
+    def test_sum_of_intervals_without_horizons(self):
+        # the constructor allows lo < hi with no horizon; their sum keeps none
+        assert NormResult(1, 2) + NormResult(1, 2) == NormResult(2, 4, None)
+        assert NormResult(1, 2) + NormResult.bounds(0, 1, 8) == NormResult(1, 3, 8)
+
     @settings(deadline=None, max_examples=60)
     @given(exact_elements(), exact_elements(), small_fractions, weight_families())
     def test_norm_axioms(self, f, g, c, w):

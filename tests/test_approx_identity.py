@@ -358,6 +358,13 @@ class TestDitkinApproximation:
         with pytest.raises(HorizonExhausted):
             ditkin_approximation(DYADIC, ODD_EVEN_FAMILY, Fraction(1, 10**6), search_bound=8)
 
+    def test_search_bound_is_an_integer_count(self):
+        with pytest.raises(TypeError):
+            ditkin_approximation(DYADIC, ODD_EVEN_FAMILY, Fraction(1, 100), search_bound=2.5)
+        for bound in (0, -3):  # a bound below 1 searches no index
+            with pytest.raises(HorizonExhausted):
+                ditkin_approximation(DYADIC, ODD_EVEN_FAMILY, Fraction(1000), search_bound=bound)
+
     def test_requires_vanishing_at_infinity(self):
         with pytest.raises(NotInMInfinityError):
             ditkin_approximation(ONE, Constant(1), Fraction(1))

@@ -1,11 +1,14 @@
-"""The `at` contract shared by every weight family and every element tier.
+"""The `at` contract shared by every weight family and every element tier,
+and the index contract of every other entry point that takes an index.
 
 `WeightFamily.at(n)` and `Element.at(p)` are the one place that checks a
 point: a natural number n >= 1, or `INFINITY` for an element, where `at`
 returns the element's limit.  A point below 1 raises `ValueError`, and a
 point that is not an integer (a float, a `Fraction`, a string) raises
 `TypeError` instead of being truncated.  Expected values are written out by
-hand, independently of the grammar.
+hand, independently of the grammar.  Every index, start, count or run
+length that the library takes follows the same rule, each site with its
+own message.
 """
 
 from fractions import Fraction as F
@@ -14,6 +17,7 @@ import pytest
 
 from ditkin import (
     INFINITY,
+    ClosedSet,
     Constant,
     DyadicDecay,
     EventuallyConstant,
@@ -21,7 +25,11 @@ from ditkin import (
     Linear,
     PrefixOverride,
     RuleBased,
+    prefix_indicator,
+    residual_norm,
+    select_ai_subsequence,
 )
+from ditkin.weights import dyadic_jump_tail
 
 
 def _staircase(c):
@@ -90,3 +98,52 @@ def test_element_values_and_limit(name):
     assert got == [expected(n) for n in range(1, 41)]
     assert all(type(v) is F for v in got)
     assert f.at(INFINITY) == limit
+
+
+# Every entry point that takes an index, start, count or run length n, with
+# the message of its ValueError below 1.  TWO_MODULI has leaves of moduli 2
+# and 6; HEADED has one modulus and a head before its leaf form starts at 5.
+TWO_MODULI, HEADED = FAMILIES["interleave"][0], FAMILIES["prefix"][0]
+STEPS = EventuallyConstant((F(1), F(1), F(-2, 3), F(0), F(5)), F(0))
+INDEXED = {
+    "family_at": (TWO_MODULI.at, "index must be >= 1"),
+    "first_above": (lambda n: TWO_MODULI.first_above(F(5), n), "index must be >= 1"),
+    "first_at_most": (lambda n: TWO_MODULI.first_at_most(F(5), n), "index must be >= 1"),
+    "first_attaining": (lambda n: TWO_MODULI.first_attaining(F(7), n), "index must be >= 1"),
+    "selected_indices": (TWO_MODULI.selected_indices, "index must be >= 1"),
+    "tail_infimum": (TWO_MODULI.tail_infimum, "index must be >= 1"),
+    "dyadic_jump_tail": (lambda n: dyadic_jump_tail(Constant(3), n), "start must be >= 1"),
+    "scaled_at_one_modulus": (lambda n: HEADED.scaled_at([4, n, 6]), "index must be >= 1"),
+    "scaled_at_two_moduli": (lambda n: TWO_MODULI.scaled_at([4, n, 6]), "index must be >= 1"),
+    "element_at": (STEPS.at, "points of N start at 1"),
+    "closed_set": (lambda n: ClosedSet((2, n)), "closed-set points must be naturals >= 1"),
+    "from_runs": (lambda n: EventuallyConstant.from_runs(((1, 2), (3, n))), "run lengths must be >= 1"),
+    "tail_sup": (lambda n: STEPS.tail_sup(n, 10, 10), "start must be >= 1"),
+    "tail_variation": (lambda n: STEPS.tail_variation(TWO_MODULI, n, 10, 10), "start must be >= 1"),
+    "dyadic_tail_sup": (lambda n: DyadicDecay(3).tail_sup(n, 10, 10), "start must be >= 1"),
+    "dyadic_tail_variation": (lambda n: DyadicDecay(3).tail_variation(Constant(2), n, 10, 10), "start must be >= 1"),
+    "prefix_indicator": (prefix_indicator, "index must be >= 1"),
+    "residual_norm": (lambda n: residual_norm(STEPS, TWO_MODULI, n), "index must be >= 1"),
+    "select_ai_count": (lambda n: select_ai_subsequence(TWO_MODULI, n), "count must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("name", INDEXED)
+@pytest.mark.parametrize("n", [0, -3])
+def test_index_below_one_raises_value_error(name, n):
+    call, message = INDEXED[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(n)
+
+
+@pytest.mark.parametrize("name", INDEXED)
+@pytest.mark.parametrize("n", [2.5, F(5, 2), "3", 3.0], ids=["float", "fraction", "str", "integral_float"])
+def test_non_integer_index_raises_type_error(name, n):
+    call, _ = INDEXED[name]
+    with pytest.raises(TypeError):
+        call(n)
+
+
+@pytest.mark.parametrize("name", INDEXED)
+def test_integer_index_is_accepted(name):
+    INDEXED[name][0](3)
