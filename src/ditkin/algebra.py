@@ -96,12 +96,7 @@ class NormResult:
 
     @classmethod
     def exact(cls, value) -> "NormResult":
-        v = Fraction(value)
-        return cls(v, v, None)
-
-    @classmethod
-    def bounds(cls, lo, hi, horizon: int) -> "NormResult":
-        return cls(Fraction(lo), Fraction(hi), horizon)
+        return cls(value, value)
 
     @property
     def is_exact(self) -> bool:
@@ -213,8 +208,10 @@ def _singleton(point) -> ClosedSet:
 
 
 class Element:
-    """A continuous function on N ∪ {∞}; see the concrete tiers below.  A tier
-    supplies _at(n) for a checked n, the limit f(∞), scale and the two tail functionals."""
+    """A continuous function on N ∪ {∞}; see the concrete tiers below.  A tier supplies _at(n)
+    for a checked n, the limit f(∞), scale and the two tail functionals, and may supply support."""
+
+    support = None  # no support known; not annotated, so that no frozen tier takes it for a field
 
     def at(self, p) -> Fraction:
         """f(p) for an integer point p >= 1, or the limit at INFINITY; the one check of a point."""
@@ -250,9 +247,15 @@ class Element:
         return self.sup_norm(horizon) + self.weighted_variation(w, horizon)
 
     def in_ideal(self, spec: IdealSpec) -> bool:
-        raise UndecidableMembership(
-            "membership is only decidable for eventually-constant and dyadic elements"
-        )
+        """Whether f lies in the ideal: f vanishes at every point of the zero
+        set, ∞ included (limit 0).  A neighbourhood of ∞ is cofinite, so the
+        J-condition there also asks for an eventually-zero f (a support)."""
+        zs = spec.zero_set
+        if any(self.at(p) != 0 for p in zs.points):
+            return False
+        if not zs.with_infinity:
+            return True
+        return self.limit == 0 and (not spec.neighbourhood or self.support is not None)
 
     def _pointwise(self, other, op) -> "EventuallyConstant":
         raise UnsupportedOperandKind(
@@ -406,16 +409,6 @@ class EventuallyConstant(Element):
         i = bisect.bisect_left(self.ends, start)  # the first jump at or past start
         return NormResult.exact(Fraction(sums[i], self.den * dw))
 
-    def in_ideal(self, spec: IdealSpec) -> bool:
-        for p in spec.zero_set.points:
-            if self.at(p) != 0:
-                return False
-        if spec.zero_set.with_infinity and self.tail != 0:
-            return False
-        # a neighbourhood of ∞ is cofinite, so the J-condition there asks for
-        # an eventually-zero function, which for this tier is again tail == 0
-        return True
-
 
 ZERO = EventuallyConstant((), Fraction(0))
 ONE = EventuallyConstant((), Fraction(1))
@@ -453,13 +446,6 @@ class DyadicDecay(Element):
 
     def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
         return NormResult.exact(abs(self.coefficient) * dyadic_jump_tail(w, start))
-
-    def in_ideal(self, spec: IdealSpec) -> bool:
-        if spec.zero_set.points:
-            return False  # strictly positive on all of N
-        if spec.zero_set.with_infinity and spec.neighbourhood:
-            return False  # vanishes at ∞ but is never eventually zero
-        return True
 
 
 class RuleBased(Element):
@@ -521,7 +507,7 @@ class RuleBased(Element):
         lo = max(abs(self.limit), max(window, default=0))
         # beyond the scan, |f(j)| <= |limit| + (unweighted variation tail)
         hi = max(lo, abs(self.limit) + self.tail_bound(end + 1, _UNIT_WEIGHTS))
-        return NormResult.bounds(lo, hi, horizon)
+        return NormResult(lo, hi, horizon)
 
     def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
         # the window is the exact difference S[end] - S[start-1] of two memo sums
@@ -534,7 +520,12 @@ class RuleBased(Element):
             s = sums[-1]
             sums.append(s if v[j] == v[j - 1] else s + w.at(j) * abs(v[j] - v[j - 1]))
         lo = sums[end] - sums[start - 1]
-        return NormResult.bounds(lo, lo + self.tail_bound(end + 1, w), horizon)
+        return NormResult(lo, lo + self.tail_bound(end + 1, w), horizon)
+
+    def in_ideal(self, spec: IdealSpec) -> bool:
+        raise UndecidableMembership(
+            "membership is only decidable for eventually-constant and dyadic elements"
+        )
 
     def tail_bound(self, start: int, w: WeightFamily) -> Fraction:
         b = self._tail_bound(start, w)

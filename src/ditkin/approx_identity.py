@@ -132,10 +132,9 @@ def residual_oracle(f: EventuallyConstant, w: WeightFamily, k: int) -> NormResul
     """The same residual through the generic algebra path: ||f - e_k * f||.
 
     Independent of residual_norm's term-wise evaluation; the two must agree
-    exactly on the exact tier.
+    exactly on the exact tier.  The path needs pointwise arithmetic, so any
+    other tier raises UnsupportedOperandKind.
     """
-    if not isinstance(f, EventuallyConstant):
-        raise NotInMInfinityError("the oracle path is defined on the exact tier")
     _require_vanishes_at_infinity(f)
     return (f - prefix_indicator(k) * f).norm(w)
 
@@ -181,9 +180,9 @@ def ditkin_approximation(
     """A truncation index k with certified residual ||f - e_k f|| <= tol.
 
     The factor e_k * f always lies in the product of the two ideals at ∞, so
-    the pair (k, residual) witnesses the factor approximation.  On the exact
-    tier the support index already gives f = e_k f and residual zero.  On the
-    certified tiers, candidate indices are drawn from the selected
+    the pair (k, residual) witnesses the factor approximation.  On a tier with
+    a support the support index already gives f = e_k f and residual zero.
+    Elsewhere, candidate indices are drawn from the selected
     subsequence at doubling thresholds until the residual's certified upper
     bound meets tol.
     """
@@ -192,7 +191,7 @@ def ditkin_approximation(
         raise ValueError("tolerance must be positive")
     _require_vanishes_at_infinity(f)
 
-    if isinstance(f, EventuallyConstant):
+    if f.support is not None:
         k = max(f.support, 1)
         return k, residual_norm(f, w, k, horizon)
 

@@ -115,8 +115,7 @@ class PropertyReport:
 
 def property_report(w: WeightFamily) -> PropertyReport:
     cls = w.classify()
-    liminf_finite = cls.liminf is not None
-    bounded = cls.sup is not None
+    liminf_finite, bounded = cls.liminf_finite, cls.bounded
     return PropertyReport(
         classification=cls,
         ditkin=True,

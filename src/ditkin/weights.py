@@ -254,6 +254,8 @@ class WeightFamily:
         only).  With p/q = D_w * t a value before the start is tested alone, and a
         leaf past it passes on a progression up to or from where a + b*n crosses p/q."""
         form, at_or_after = self._leaves, natural(at_or_after)
+        if not isinstance(t, (int, Fraction)):  # a float level would lose exactness
+            raise TypeError(f"level must be an int or a Fraction, got {type(t).__name__}")
         p, q = t.numerator * form.den, t.denominator
         yield from (j for j, v in enumerate(form.values(range(at_or_after, form.start)), at_or_after) if op(q * v, p))
         base, heap = max(at_or_after, form.start), []
@@ -294,6 +296,8 @@ class WeightFamily:
         for a finite liminf every index of bounded weights, else the liminf's
         attainers, or with a slack >= 0 each n with alpha_n <= liminf + slack."""
         at_or_after = natural(at_or_after)
+        if slack is not None and not isinstance(slack, (int, Fraction)):
+            raise TypeError(f"slack must be an int or a Fraction, got {type(slack).__name__}")
         if slack is not None and slack < 0:
             raise ValueError("slack must be >= 0")
         cls = self.classify()

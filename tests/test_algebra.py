@@ -107,6 +107,11 @@ class TestArithmetic:
         assert Fraction(-1, 2) * f == EventuallyConstant((Fraction(-1, 2),), Fraction(-1))
         assert 0 * f == ZERO
 
+    def test_scale_by_a_number_on_the_right(self):
+        f = EventuallyConstant((Fraction(1),), Fraction(2))
+        assert f * 3 == 3 * f == EventuallyConstant((Fraction(3),), Fraction(6))
+        assert DYADIC * Fraction(1, 2) == DyadicDecay(Fraction(1, 2))
+
     def test_rule_based_rejected_in_binary_ops(self):
         with pytest.raises(UnsupportedOperandKind):
             DYADIC + ONE
@@ -184,7 +189,11 @@ class TestNorm:
     def test_sum_of_intervals_without_horizons(self):
         # the constructor allows lo < hi with no horizon; their sum keeps none
         assert NormResult(1, 2) + NormResult(1, 2) == NormResult(2, 4, None)
-        assert NormResult(1, 2) + NormResult.bounds(0, 1, 8) == NormResult(1, 3, 8)
+        assert NormResult(1, 2) + NormResult(0, 1, 8) == NormResult(1, 3, 8)
+
+    def test_endpoints_out_of_order_are_rejected(self):
+        with pytest.raises(ValueError, match="out of order"):
+            NormResult(2, 1)
 
     @settings(deadline=None, max_examples=60)
     @given(exact_elements(), exact_elements(), small_fractions, weight_families())
@@ -261,7 +270,7 @@ class TestRuleBasedIntervals:
     def test_rule_based_scale(self, c):
         f, w = geometric_element(), Linear(1, 1)
         base, scaled = f.norm(w, horizon=16), (c * f).norm(w, horizon=16)
-        assert scaled == NormResult.bounds(abs(c) * base.lo, abs(c) * base.hi, 16)
+        assert scaled == NormResult(abs(c) * base.lo, abs(c) * base.hi, 16)
         assert (c * f).at(3) == c * f.at(3)
 
     def test_rule_based_scale_by_zero(self):
@@ -442,6 +451,18 @@ class TestIdeals:
         assert f.in_ideal(IdealSpec.j_of(with_inf))  # eventually zero
         assert not DYADIC.in_ideal(IdealSpec.i_of(ClosedSet((2,), with_infinity=True)))
 
+    def test_support_of_each_tier(self):
+        # the rule reads at, limit and support; only an eventually-zero f has a support
+        assert prefix_indicator(4).support == 4 and ZERO.support == 0
+        assert DYADIC.support is None and geometric_element().support is None
+        with pytest.raises(ValueError, match="eventually-zero"):
+            ONE.support
+
+    def test_closed_set_contains_infinity(self):
+        assert ClosedSet((1, 4), with_infinity=True).contains(INFINITY)
+        assert not ClosedSet((1, 4)).contains(INFINITY)
+        assert ClosedSet((1, 4)).contains(4) and not ClosedSet((1, 4)).contains(3)
+
     def test_rule_based_membership_undecidable(self):
         with pytest.raises(UndecidableMembership):
             geometric_element().in_ideal(IdealSpec.m_at(INFINITY))
@@ -520,7 +541,13 @@ class TestSerialization:
 
     def test_norm_result_shapes(self):
         assert NormResult.exact(Fraction(3, 2)).to_obj() == {"exact": "3/2"}
-        assert NormResult.bounds(1, 2, 64).to_obj() == {"lo": "1", "hi": "2", "horizon": 64}
+        assert NormResult(1, 2, 64).to_obj() == {"lo": "1", "hi": "2", "horizon": 64}
+
+    def test_interval_reads(self):
+        interval = NormResult(1, Fraction(5, 2), 64)
+        assert str(interval) == "[1, 5/2] (horizon 64)" and str(NormResult.exact(Fraction(3, 2))) == "3/2"
+        with pytest.raises(ValueError, match="not an exact result"):
+            interval.value
 
     def test_bad_kind(self):
         with pytest.raises(SchemaError, match="kind"):

@@ -21,6 +21,7 @@ from ditkin import (
     ONE,
     PrefixOverride,
     RuleBased,
+    UnsupportedOperandKind,
     ZERO,
     diagnostics_to_csv,
     ditkin_approximation,
@@ -112,6 +113,11 @@ class TestResidualOracle:
         f = prefix_indicator(5) - prefix_indicator(3)
         assert residual_oracle(f, Constant(1), 4) == NormResult.exact(3)
         assert residual_norm(f, Constant(1), 4) == NormResult.exact(3)
+
+    def test_staircase_has_no_algebra_path(self):
+        # it vanishes at ∞; the oracle's pointwise product is what it lacks
+        with pytest.raises(UnsupportedOperandKind):
+            residual_oracle(DYADIC, Constant(1), 3)
 
     @settings(deadline=None, max_examples=80)
     @given(m_infinity_elements(), weight_families(), st.integers(1, 25))
@@ -279,6 +285,10 @@ class TestRuleBasedTier:
 
         return RuleBased(lambda n: Fraction(1, 2**n), Fraction(0), bound)
 
+    def test_residual_oracle_has_no_algebra_path(self):
+        with pytest.raises(UnsupportedOperandKind):
+            residual_oracle(self._geometric(), Constant(1), 3)
+
     def test_residual_interval_brackets_exact_value(self):
         f = self._geometric()
         for k in (1, 3, 6):
@@ -368,3 +378,8 @@ class TestDitkinApproximation:
     def test_requires_vanishing_at_infinity(self):
         with pytest.raises(NotInMInfinityError):
             ditkin_approximation(ONE, Constant(1), Fraction(1))
+
+    @pytest.mark.parametrize("tol", [0, Fraction(-1, 2)])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            ditkin_approximation(ZERO, Constant(1), tol)

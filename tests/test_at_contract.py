@@ -1,5 +1,6 @@
 """The `at` contract shared by every weight family and every element tier,
-and the index contract of every other entry point that takes an index.
+the index contract of every other entry point that takes an index, and the
+level contract of the weight searches.
 
 `WeightFamily.at(n)` and `Element.at(p)` are the one place that checks a
 point: a natural number n >= 1, or `INFINITY` for an element, where `at`
@@ -8,7 +9,8 @@ point that is not an integer (a float, a `Fraction`, a string) raises
 `TypeError` instead of being truncated.  Expected values are written out by
 hand, independently of the grammar.  Every index, start, count or run
 length that the library takes follows the same rule, each site with its
-own message.
+own message.  A search level or slack is an exact int or `Fraction`; any
+other type, a float included, raises `TypeError`.
 """
 
 from fractions import Fraction as F
@@ -147,3 +149,28 @@ def test_non_integer_index_raises_type_error(name, n):
 @pytest.mark.parametrize("name", INDEXED)
 def test_integer_index_is_accepted(name):
     INDEXED[name][0](3)
+
+
+# Every entry point that takes a search level or a slack t.  TWO_MODULI has a
+# finite liminf; Linear(0, 1) diverges, so its selection reads no level.
+LEVELS = {
+    "first_above": lambda t: TWO_MODULI.first_above(t),
+    "first_at_most": lambda t: TWO_MODULI.first_at_most(t, 1),
+    "first_attaining": lambda t: TWO_MODULI.first_attaining(t, 1),
+    "selected_indices": lambda t: next(TWO_MODULI.selected_indices(1, t)),
+    "select_ai_slack": lambda t: select_ai_subsequence(Constant(1), 3, t),
+    "select_ai_slack_divergent": lambda t: select_ai_subsequence(Linear(0, 1), 3, t),
+}
+
+
+@pytest.mark.parametrize("name", LEVELS)
+@pytest.mark.parametrize("t", [2.5, 3.0, "3"], ids=["float", "integral_float", "str"])
+def test_non_rational_level_raises_type_error(name, t):
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        LEVELS[name](t)
+
+
+@pytest.mark.parametrize("name", LEVELS)
+@pytest.mark.parametrize("t", [3, F(5, 2)], ids=["int", "fraction"])
+def test_exact_level_is_accepted(name, t):
+    LEVELS[name](t)

@@ -162,6 +162,11 @@ class TestRelativeUnitWitness:
         with pytest.raises(InvalidExcludedSet):
             relative_unit_witness(Constant(1), INFINITY, ClosedSet((1,), with_infinity=True))
 
+    @pytest.mark.parametrize("point", [0, -3])
+    def test_point_below_one(self, point):
+        with pytest.raises(InvalidExcludedSet, match="points of N start at 1"):
+            relative_unit_witness(Constant(1), point, ClosedSet(()))
+
 
 class TestBuiltInFamilies:
     def test_counterexample_values(self):

@@ -90,6 +90,12 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             PrefixOverride((Fraction(0),), Constant(1))
 
+    def test_parts_must_be_families(self):
+        with pytest.raises(ValueError, match="interleave parts must be weight families"):
+            Interleave((Constant(1), 2))
+        with pytest.raises(ValueError, match="prefix tail must be a weight family"):
+            PrefixOverride((1,), 2)
+
 
 class TestTailInfimum:
     def test_odd_even_family(self):
@@ -243,6 +249,20 @@ class TestSerialization:
     )
     def test_echo_clips_long_values(self, value, shown):
         assert echo(value) == shown
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ([1], "weights: expected an object, got list"),
+            ({"family": "interleave", "parts": {"0": {}}}, "weights.parts: expected a list"),
+            ({"family": "prefix", "prefix": "2", "tail": {"family": "constant", "value": "1"}}, "weights.prefix: expected a list"),
+        ],
+        ids=["not_object", "parts_not_list", "prefix_not_list"],
+    )
+    def test_shape_rejections(self, obj, message):
+        with pytest.raises(SchemaError) as exc:
+            weight_family_from_obj(obj)
+        assert str(exc.value) == message
 
     def test_nested_error_path(self):
         obj = {"family": "interleave", "parts": [{"family": "constant", "value": "0"}, {"family": "constant", "value": "1"}]}
