@@ -9,6 +9,8 @@ approximate-identity subsequences, and classifies the regularity properties
 the weights decide.
 """
 
+from types import ModuleType as _Module
+
 from .algebra import (
     DEFAULT_HORIZON,
     INFINITY,
@@ -73,56 +75,5 @@ from .weights import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AiSelection",
-    "ClosedSet",
-    "Constant",
-    "DEFAULT_HORIZON",
-    "DEFAULT_SELECTION_COUNT",
-    "DiagnosticRow",
-    "DitkinError",
-    "DivergentVariationError",
-    "DyadicDecay",
-    "Element",
-    "EventuallyConstant",
-    "HorizonExhausted",
-    "IdealSpec",
-    "INFINITY",
-    "Interleave",
-    "InvalidExcludedSet",
-    "Linear",
-    "MissingTailBound",
-    "NormResult",
-    "NotDivergentError",
-    "NotInMInfinityError",
-    "ONE",
-    "PrefixOverride",
-    "PropertyReport",
-    "REPRO_CHECKS",
-    "RelativeUnitWitness",
-    "RuleBased",
-    "SchemaError",
-    "TailInf",
-    "UndecidableMembership",
-    "UnsupportedOperandKind",
-    "WeightClassification",
-    "WeightFamily",
-    "ZERO",
-    "diagnostics_to_csv",
-    "ditkin_approximation",
-    "dyadic_counterexample",
-    "element_from_obj",
-    "element_to_obj",
-    "format_rational",
-    "parse_rational",
-    "prefix_indicator",
-    "property_report",
-    "relative_unit_witness",
-    "repro_checks",
-    "residual_diagnostics",
-    "residual_norm",
-    "residual_oracle",
-    "select_ai_subsequence",
-    "unbounded_nondivergent_family",
-    "weight_family_from_obj",
-]
+# the public names are every name imported above, less the submodules
+__all__ = sorted(n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _Module)))

@@ -34,6 +34,7 @@ from .weights import (
     frozen,
     natural,
     parse_ratio,
+    rational,
 )
 
 DEFAULT_HORIZON = 1 << 16
@@ -87,7 +88,7 @@ class NormResult:
     horizon: int | None
 
     def __init__(self, lo, hi, horizon=None):
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = rational(lo), rational(hi)
         if lo > hi:
             raise ValueError("interval endpoints out of order")
         object.__setattr__(self, "lo", lo)
@@ -307,8 +308,8 @@ class EventuallyConstant(Element):
         return object.__new__(cls)._set(den, ends, nums, tail)
 
     def _set_runs(self, runs, tail) -> "EventuallyConstant":
-        runs = [(v if type(v) is Fraction else Fraction(v), natural(n, "run lengths must be >= 1")) for v, n in runs]
-        t = Fraction(tail)
+        runs = [(rational(v), natural(n, "run lengths must be >= 1")) for v, n in runs]
+        t = rational(tail)
         den = math.lcm(t.denominator, *{v.denominator for v, _ in runs})
         nums = [v.numerator * (den // v.denominator) for v, _ in runs]
         return self._set(den, accumulate(n for _, n in runs), nums, t.numerator * (den // t.denominator))
@@ -347,14 +348,14 @@ class EventuallyConstant(Element):
         return Fraction(self.nums[i] if i < len(self.nums) else self.tail_num, self.den)
 
     @property
-    def support(self) -> int:
-        """Largest n with f(n) != 0 (0 for the zero element); needs tail 0."""
+    def support(self) -> int | None:
+        """Largest n with f(n) != 0 (0 for the zero element); None for a nonzero tail."""
         if self.tail_num != 0:
-            raise ValueError("support is only defined for eventually-zero elements")
+            return None
         return self.ends[-1] if self.ends else 0
 
     def scale(self, c) -> "EventuallyConstant":
-        c = Fraction(c)
+        c = rational(c, "scale factor")
         p = c.numerator
         return self._of(self.den * c.denominator, self.ends, [p * x for x in self.nums], p * self.tail_num)
 
@@ -428,7 +429,7 @@ class DyadicDecay(Element):
     limit = Fraction(0)
 
     def __init__(self, coefficient=1):
-        c = Fraction(coefficient)
+        c = rational(coefficient)
         if c == 0:
             raise ValueError("the staircase coefficient must be nonzero")
         object.__setattr__(self, "coefficient", c)
@@ -437,7 +438,7 @@ class DyadicDecay(Element):
         return self.coefficient / (1 << n.bit_length())
 
     def scale(self, c) -> Element:
-        c = Fraction(c)
+        c = rational(c, "scale factor")
         return ZERO if c == 0 else DyadicDecay(self.coefficient * c)
 
     def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
@@ -468,7 +469,7 @@ class RuleBased(Element):
         tail_variation_bound: Callable[[int, WeightFamily], Fraction | None],
     ):
         self._value_at = value_at
-        self.limit = Fraction(limit)
+        self.limit = rational(limit)
         self._tail_bound = tail_variation_bound
         # memo grown to the largest index scanned: f(1..m), |f(1..m)|, the max
         # of |f| over each full block of _BLOCK indices and, per family, the
@@ -536,7 +537,7 @@ class RuleBased(Element):
         return Fraction(b)
 
     def scale(self, c) -> Element:
-        c = Fraction(c)
+        c = rational(c, "scale factor")
         if c == 0:
             return ZERO
         inner_value, inner_bound, limit = self._value_at, self._tail_bound, self.limit

@@ -26,7 +26,7 @@ from .algebra import (
     format_rational,
 )
 from .errors import HorizonExhausted, NotInMInfinityError
-from .weights import WeightFamily, frozen, natural
+from .weights import WeightFamily, frozen, natural, rational
 
 DEFAULT_SELECTION_COUNT = 8
 MAX_SELECTION_COUNT = 1 << 16  # the CLI's budget on --count
@@ -186,7 +186,7 @@ def ditkin_approximation(
     subsequence at doubling thresholds until the residual's certified upper
     bound meets tol.
     """
-    tol = Fraction(tol)
+    tol = rational(tol, "tolerance")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     _require_vanishes_at_infinity(f)

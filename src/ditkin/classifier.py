@@ -213,7 +213,7 @@ def unbounded_nondivergent_family(
     relative-unit bound."""
     if divergent_part.classify().liminf is not None:
         raise NotDivergentError("the growing part must diverge to infinity")
-    return Interleave((Constant(Fraction(bounded_value)), divergent_part))
+    return Interleave((Constant(bounded_value), divergent_part))
 
 
 # The golden exact values of the built-in counterexample.  Each check's items

@@ -9,6 +9,8 @@ the Chinese remainder theorem, in integers over one denominator.  That
 normal form, whose size follows the input, turns the asymptotic questions
 needed downstream (tail infimum, supremum, liminf, monotonicity, the dyadic
 jump sum) into finite exact integer computations, not numeric estimates.
+Each parsed value becomes a `Fraction` once; the leaf form is built from
+its integer numerator and denominator, with no `Fraction` arithmetic.
 The dense *eventual form*, one arm per residue modulo the lcm of all
 interleave part counts, is kept as an independent oracle.
 """
@@ -31,6 +33,7 @@ MAX_FAMILY_DEPTH = 64  # nesting budget of a parsed weight family
 MAX_ARMS = 1 << 16  # budget of a leaf modulus, and of the dense form's arms (lcm of all moduli)
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_ZERO = Fraction(0)
 
 
 def parse_rational(value: object, path: str = "value") -> Fraction:
@@ -183,6 +186,12 @@ class LeafForm:
     head: tuple[int, ...]
     leaves: tuple[tuple[int, int, int, int], ...]
 
+    def __init__(self, start, den, head, leaves):  # straight-line stores: a family builds one per node
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "leaves", leaves)
+
     @functools.cached_property
     def by_modulus(self) -> dict[int, dict[int, tuple[int, int]]]:
         """The leaves (offset, slope) of each modulus, by residue."""
@@ -215,6 +224,16 @@ class LeafForm:
         return out
 
 
+def rational(x, name: str = "value") -> Fraction:
+    """x as a Fraction, for a weight, element value, scale factor, level or tolerance: TypeError
+    for anything but an int or a Fraction (a float, a str, a Decimal).  Every such argument comes through here."""
+    if type(x) is Fraction:
+        return x
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{name} must be an int or a Fraction, got {type(x).__name__}")
+    return Fraction(x)
+
+
 def natural(n, message: str = "index must be >= 1") -> int:
     """n as an int, for an index, start, count or run length: TypeError for a
     non-integer, ValueError(message) below 1.  Every such argument comes through here."""
@@ -243,7 +262,8 @@ class WeightFamily:
     def _leaves(self) -> LeafForm:
         a, b = self._arm
         den = math.lcm(a.denominator, b.denominator)
-        return LeafForm(1, den, (), ((0, 1, int(a * den), int(b * den)),))
+        leaf = 0, 1, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        return LeafForm(1, den, (), (leaf,))
 
     def to_obj(self) -> dict:
         raise NotImplementedError
@@ -253,9 +273,7 @@ class WeightFamily:
         of operator.gt, le and eq (past the leaf form's start, eq on constant leaves
         only).  With p/q = D_w * t a value before the start is tested alone, and a
         leaf past it passes on a progression up to or from where a + b*n crosses p/q."""
-        form, at_or_after = self._leaves, natural(at_or_after)
-        if not isinstance(t, (int, Fraction)):  # a float level would lose exactness
-            raise TypeError(f"level must be an int or a Fraction, got {type(t).__name__}")
+        form, at_or_after, t = self._leaves, natural(at_or_after), rational(t, "level")
         p, q = t.numerator * form.den, t.denominator
         yield from (j for j, v in enumerate(form.values(range(at_or_after, form.start)), at_or_after) if op(q * v, p))
         base, heap = max(at_or_after, form.start), []
@@ -296,9 +314,7 @@ class WeightFamily:
         for a finite liminf every index of bounded weights, else the liminf's
         attainers, or with a slack >= 0 each n with alpha_n <= liminf + slack."""
         at_or_after = natural(at_or_after)
-        if slack is not None and not isinstance(slack, (int, Fraction)):
-            raise TypeError(f"slack must be an int or a Fraction, got {type(slack).__name__}")
-        if slack is not None and slack < 0:
+        if slack is not None and rational(slack, "slack") < 0:
             raise ValueError("slack must be >= 0")
         cls = self.classify()
         if cls.liminf is None:
@@ -446,8 +462,8 @@ class Constant(WeightFamily):
     value: Fraction
 
     def __init__(self, value):
-        v = Fraction(value)
-        if v <= 0:
+        v = rational(value)
+        if v.numerator <= 0:
             raise ValueError("constant weight must be positive")
         object.__setattr__(self, "value", v)
 
@@ -456,7 +472,7 @@ class Constant(WeightFamily):
 
     @property
     def _arm(self) -> tuple[Fraction, Fraction]:
-        return self.value, Fraction(0)
+        return self.value, _ZERO
 
     def to_obj(self) -> dict:
         return {"family": "constant", "value": format_rational(self.value)}
@@ -470,8 +486,8 @@ class Linear(WeightFamily):
     slope: Fraction
 
     def __init__(self, offset, slope):
-        a, b = Fraction(offset), Fraction(slope)
-        if a < 0 or b < 0 or (a == 0 and b == 0):
+        a, b = rational(offset), rational(slope)
+        if a.numerator < 0 or b.numerator < 0 or not (a.numerator or b.numerator):
             raise ValueError("linear weights need offset >= 0, slope >= 0, not both zero")
         object.__setattr__(self, "offset", a)
         object.__setattr__(self, "slope", b)
@@ -530,9 +546,12 @@ class Interleave(WeightFamily):
     @functools.cached_property
     def _leaves(self) -> LeafForm:
         M, leaves, forms = self.modulus, [], [p._leaves for p in self.parts]
-        den = math.lcm(*(form.den for form in forms))
+        den, start = math.lcm(*(form.den for form in forms)), max(form.start for form in forms)
+        # D_w * alpha_n for n < start: part n % M's head before its start, past it the leaf holding n
+        head = [0] * (start - 1)
         for i, form in enumerate(forms):
-            c = den // form.den
+            c, k = den // form.den, (i or M) - 1  # head[k]: part i's first index
+            head[k : form.start - 1 : M] = [x * c for x in form.head[k::M]]
             for r, m, a, b in form.leaves:
                 # n = i (mod M) and n = r (mod m) meet iff i = r (mod gcd)
                 g = math.gcd(M, m)
@@ -544,10 +563,12 @@ class Interleave(WeightFamily):
                         f"interleave: a leaf would need modulus {lcm}, over the cap of {MAX_ARMS}"
                     )
                 t = (r - i) // g * pow(M // g, -1, m // g) % (m // g)  # n = i + M*t
-                leaves.append((i + M * t, lcm, a * c, b * c))
-        start = max(form.start for form in forms)
-        head = tuple(v.numerator * (den // v.denominator) for v in map(self._at, range(1, start)))
-        return LeafForm(start, den, head, tuple(leaves))
+                r, a, b = i + M * t, a * c, b * c
+                leaves.append((r, lcm, a, b))
+                n = form.start + (r - form.start) % lcm  # the leaf's first index past the part's start
+                if n < start:
+                    head[n - 1 : start - 1 : lcm] = [a + b * j for j in range(n, start, lcm)]
+        return LeafForm(start, den, tuple(head), tuple(leaves))
 
     def to_obj(self) -> dict:
         return {
@@ -565,8 +586,8 @@ class PrefixOverride(WeightFamily):
     tail: WeightFamily
 
     def __init__(self, prefix, tail):
-        pre = tuple(Fraction(v) for v in prefix)
-        if any(v <= 0 for v in pre):
+        pre = tuple(map(rational, prefix))
+        if any(v.numerator <= 0 for v in pre):
             raise ValueError("prefix weights must be positive")
         if not isinstance(tail, WeightFamily):
             raise ValueError("prefix tail must be a weight family")
@@ -628,9 +649,10 @@ def weight_family_from_obj(obj: object, path: str = "weights", depth: int = 0) -
         pre_obj = _require(obj, "prefix", path)
         if not isinstance(pre_obj, list):
             raise SchemaError(f"{path}.prefix: expected a list")
-        pre = tuple(
-            parse_rational(v, f"{path}.prefix[{i}]") for i, v in enumerate(pre_obj)
-        )
+        try:
+            pre = tuple(map(parse_rational, pre_obj))
+        except SchemaError:  # name the field only once a value is rejected
+            pre = tuple(parse_rational(v, f"{path}.prefix[{i}]") for i, v in enumerate(pre_obj))
         tail = weight_family_from_obj(_require(obj, "tail", path), f"{path}.tail", depth + 1)
         return _checked(PrefixOverride, (pre, tail), path)
     raise SchemaError(

@@ -1,5 +1,6 @@
 """Elements, exact pointwise algebra, norms, and ideal membership."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -236,6 +237,16 @@ class TestRuleBasedIntervals:
         with pytest.raises(MissingTailBound):
             f.weighted_variation(ODD_EVEN_FAMILY, horizon=8)
 
+    def test_sup_bound_past_the_scan_adds_the_tail(self):
+        # f(50) = 1 and 0 elsewhere, limit 0, with its exact unweighted tail:
+        # past a scan to 10, |f| <= |limit| + 2, which must cover f(50) = 1
+        def bound(start, w):
+            return (2 if start <= 49 else 1 if start == 50 else 0) if w == Constant(1) else None
+
+        f = RuleBased(lambda n: Fraction(n == 50), 0, bound)
+        res = f.sup_norm(10)
+        assert res.lo == 0 and res.hi >= 1
+
     def test_unweighted_certificate_required_at_construction(self):
         with pytest.raises(MissingTailBound):
             RuleBased(lambda n: Fraction(0), Fraction(0), lambda s, w: None)
@@ -455,8 +466,7 @@ class TestIdeals:
         # the rule reads at, limit and support; only an eventually-zero f has a support
         assert prefix_indicator(4).support == 4 and ZERO.support == 0
         assert DYADIC.support is None and geometric_element().support is None
-        with pytest.raises(ValueError, match="eventually-zero"):
-            ONE.support
+        assert ONE.support is None
 
     def test_closed_set_contains_infinity(self):
         assert ClosedSet((1, 4), with_infinity=True).contains(INFINITY)
@@ -494,6 +504,13 @@ class TestSerialization:
         f = element_from_obj({"kind": "eventually_constant", "runs": [["1", 3], ["1/2", 2]], "tail": "1/2"})
         assert f == EventuallyConstant((Fraction(1),) * 3, Fraction(1, 2))
         assert element_from_obj({"kind": "eventually_constant", "runs": []}) == ZERO
+
+    def test_runs_budget_is_inclusive(self):
+        runs = [[str(i % 2), 1] for i in range(MAX_RUNS)]
+        f = element_from_obj({"kind": "eventually_constant", "runs": runs})
+        assert len(f.ends) == MAX_RUNS  # alternating values: no run merges
+        with pytest.raises(SchemaError, match=f"at most {MAX_RUNS} runs"):
+            element_from_obj({"kind": "eventually_constant", "runs": runs + [["0", 1]]})
 
     def test_long_elements_write_runs(self):
         short = EventuallyConstant.from_runs(((1, MAX_RUNS - 1), (0, 1)), 1)
@@ -601,6 +618,9 @@ class TestSerialization:
         with pytest.raises(SchemaError) as exc:
             parse_point(obj)
         assert needle in str(exc.value) and len(str(exc.value)) < 200
+
+    def test_point_one_parses(self):
+        assert parse_point(json.loads("1")) == 1
 
     def test_points_parse(self):
         assert parse_point(7) == 7

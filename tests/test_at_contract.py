@@ -9,10 +9,13 @@ point that is not an integer (a float, a `Fraction`, a string) raises
 `TypeError` instead of being truncated.  Expected values are written out by
 hand, independently of the grammar.  Every index, start, count or run
 length that the library takes follows the same rule, each site with its
-own message.  A search level or slack is an exact int or `Fraction`; any
-other type, a float included, raises `TypeError`.
+own message.  A search level or slack, and every other rational a caller
+passes in (a weight, an element value, a limit, a scale factor, a
+tolerance), is an exact int or `Fraction`; any other type, a float, a
+string or a `Decimal`, raises `TypeError`.
 """
 
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -25,8 +28,10 @@ from ditkin import (
     EventuallyConstant,
     Interleave,
     Linear,
+    NormResult,
     PrefixOverride,
     RuleBased,
+    ditkin_approximation,
     prefix_indicator,
     residual_norm,
     select_ai_subsequence,
@@ -174,3 +179,39 @@ def test_non_rational_level_raises_type_error(name, t):
 @pytest.mark.parametrize("t", [3, F(5, 2)], ids=["int", "fraction"])
 def test_exact_level_is_accepted(name, t):
     LEVELS[name](t)
+
+
+# Every entry point that takes a rational value x from a caller.  A value that
+# a RuleBased callback returns is read as the callback gives it, so the
+# callbacks here return exact values and only the argument varies.
+RATIONALS = {
+    "constant": lambda x: Constant(x),
+    "linear_offset": lambda x: Linear(x, 1),
+    "linear_slope": lambda x: Linear(1, x),
+    "prefix": lambda x: PrefixOverride((1, x), Constant(1)),
+    "norm_result": lambda x: NormResult(x, x),
+    "norm_result_exact": NormResult.exact,
+    "element_prefix": lambda x: EventuallyConstant((1, x), 0),
+    "element_tail": lambda x: EventuallyConstant((1,), x),
+    "from_runs_value": lambda x: EventuallyConstant.from_runs(((x, 2),)),
+    "from_runs_tail": lambda x: EventuallyConstant.from_runs(((1, 2),), x),
+    "dyadic": DyadicDecay,
+    "rule_based_limit": lambda x: RuleBased(lambda n: F(1, n), x, lambda start, w: F(1, start)),
+    "scale_exact": STEPS.scale,
+    "scale_dyadic": DyadicDecay(3).scale,
+    "scale_rule_based": _rule_based().scale,
+    "tolerance": lambda x: ditkin_approximation(prefix_indicator(3), Constant(1), x),
+}
+
+
+@pytest.mark.parametrize("name", RATIONALS)
+@pytest.mark.parametrize("x", [0.5, "1/2", Decimal("0.5")], ids=["float", "str", "decimal"])
+def test_non_rational_value_raises_type_error(name, x):
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        RATIONALS[name](x)
+
+
+@pytest.mark.parametrize("name", RATIONALS)
+@pytest.mark.parametrize("x", [1, F(1, 2)], ids=["int", "fraction"])
+def test_exact_value_is_accepted(name, x):
+    RATIONALS[name](x)

@@ -473,3 +473,19 @@ def test_import_footprint():
     added = set(run.stdout.split())
     assert {"ditkin", "ditkin.cli", "ditkin.weights"} <= added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "csv"}
+
+
+def test_public_names():
+    """`ditkin.__all__` is every name the package imports, less its submodules."""
+    import ditkin
+
+    assert ditkin.__all__ == sorted(
+        """AiSelection ClosedSet Constant DEFAULT_HORIZON DEFAULT_SELECTION_COUNT DiagnosticRow DitkinError
+        DivergentVariationError DyadicDecay Element EventuallyConstant HorizonExhausted INFINITY IdealSpec Interleave
+        InvalidExcludedSet Linear MissingTailBound NormResult NotDivergentError NotInMInfinityError ONE PrefixOverride
+        PropertyReport REPRO_CHECKS RelativeUnitWitness RuleBased SchemaError TailInf UndecidableMembership
+        UnsupportedOperandKind WeightClassification WeightFamily ZERO diagnostics_to_csv ditkin_approximation
+        dyadic_counterexample element_from_obj element_to_obj format_rational parse_rational prefix_indicator
+        property_report relative_unit_witness repro_checks residual_diagnostics residual_norm residual_oracle
+        select_ai_subsequence unbounded_nondivergent_family weight_family_from_obj""".split()
+    )

@@ -486,6 +486,48 @@ class TestLeafForm:
         )
         assert partial <= total <= partial + 4003 * Fraction(1, 1 << 60)
 
+    def test_jump_sum_reads_a_growing_leaf_before_the_cycle(self):
+        # jumps at 1, 3, 7, 15, ...: only j = 3 lands on the growing part 3, once,
+        # so the sum is 1/4 + 3/8 + (1/16 + 1/32 + ...) = 3/4
+        w = Interleave(tuple(Linear(0, 1) if i == 3 else Constant(1) for i in range(8)))
+        assert dyadic_jump_tail(w, 1) == dense_dyadic_jump_tail(w, 1) == Fraction(3, 4)
+
+    def test_build_makes_one_fraction_per_parsed_value(self, monkeypatch):
+        # a count, unlike a wall-clock guard, does not drift with machine speed: past
+        # parse_rational the leaf form is built from integers, with no Fraction arithmetic
+        inner = {"family": "interleave", "parts": [
+            {"family": "linear", "offset": "0", "slope": "3/7"},
+            {"family": "constant", "value": "9/4"},
+            {"family": "linear", "offset": "5/3", "slope": "0"},
+        ]}
+        outer = {"family": "interleave", "parts": [
+            {"family": "constant", "value": "2/3"},
+            {"family": "linear", "offset": "1/4", "slope": "1/6"},
+            {"family": "prefix", "prefix": ["7/5", "2", "4/9", "1/8"], "tail": inner},
+        ]}
+        obj = {"family": "prefix", "prefix": ["3/2", "1/3", "5"], "tail": outer}
+        made, new = [], Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        if hasattr(Fraction, "_from_coprime_ints"):  # from Python 3.12 on, arithmetic skips __new__
+            coprime = Fraction._from_coprime_ints
+
+            def counting_coprime(cls, n, d):
+                made.append((n, d))
+                return coprime(n, d)
+
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+        form = weight_family_from_obj(obj)._leaves
+        monkeypatch.undo()
+        assert len(made) <= 15  # the rationals in obj
+        w = weight_family_from_obj(obj)
+        assert form == w._leaves and form.start == 5
+        assert form.values(range(1, 40)) == [w.at(n) * form.den for n in range(1, 40)]
+
 
 def _brute_first(hit, lo, found):
     """First j >= lo with hit(j), scanning past the claimed answer, or 300 indices."""
