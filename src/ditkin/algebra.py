@@ -459,7 +459,8 @@ class RuleBased(Element):
     bound(s) >= (exact partial sum from s to t-1) + bound(t); exact tails and
     geometric envelopes satisfy this.  An unweighted certificate (for the
     constant-1 family) is mandatory — it is what bounds the values themselves
-    near ∞ — and is checked at construction.
+    near ∞ — and is checked at construction.  A callback value that is not an
+    int or a Fraction raises TypeError when it is read.
     """
 
     def __init__(
@@ -486,12 +487,11 @@ class RuleBased(Element):
     def _at(self, n: int) -> Fraction:
         if n <= len(self._values):
             return self._values[n - 1]
-        return Fraction(self._value_at(n))
+        return rational(self._value_at(n), "value_at(n)")
 
     def _scan_to(self, m: int) -> None:
         for n in range(len(self._values) + 1, m + 1):
-            v = self._value_at(n)
-            v = v if type(v) is Fraction else Fraction(v)
+            v = rational(self._value_at(n), "value_at(n)")
             self._values.append(v)
             self._abs.append(v if v.numerator >= 0 else -v)
             if n % _BLOCK == 0:
@@ -534,7 +534,7 @@ class RuleBased(Element):
             raise MissingTailBound(
                 "no certified variation tail for this weight family"
             )
-        return Fraction(b)
+        return rational(b, "tail_variation_bound(start, weights)")
 
     def scale(self, c) -> Element:
         c = rational(c, "scale factor")

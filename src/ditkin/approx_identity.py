@@ -32,9 +32,6 @@ DEFAULT_SELECTION_COUNT = 8
 MAX_SELECTION_COUNT = 1 << 16  # the CLI's budget on --count
 DEFAULT_SEARCH_BOUND = 1 << 40
 
-KIND_BOUNDED_BAI = "bounded_bai"
-KIND_RUNNING_MIN = "running_min"
-
 
 @frozen
 class AiSelection:
@@ -45,11 +42,14 @@ class AiSelection:
     satisfies, so max(norms) <= 1 + liminf + slack holds exactly.
     """
 
-    kind: str
     indices: tuple[int, ...]
     norms: tuple[Fraction, ...]
     liminf: Fraction | None = None
     slack: Fraction | None = None
+
+    @property
+    def kind(self) -> str:
+        return "running_min" if self.liminf is None else "bounded_bai"
 
     def to_obj(self) -> dict:
         obj: dict = {
@@ -83,22 +83,12 @@ class DiagnosticRow:
 
 
 def diagnostics_to_csv(rows: list[DiagnosticRow]) -> str:
-    import csv  # here, so that only `residuals --format csv` loads it
-    import io
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n_k", "residual_lo", "residual_hi", "alpha_next", "alpha_self"])
+    # every field is an int or a format_rational string, so no field needs csv quoting
+    lines = ["n_k,residual_lo,residual_hi,alpha_next,alpha_self"]
     for row in rows:
-        writer.writerow(
-            [
-                row.index,
-                format_rational(row.residual.lo),
-                format_rational(row.residual.hi),
-                format_rational(row.alpha_next),
-                format_rational(row.alpha_self),
-            ]
-        )
-    return out.getvalue()
+        fields = (row.residual.lo, row.residual.hi, row.alpha_next, row.alpha_self)
+        lines.append(",".join((str(row.index), *map(format_rational, fields))))
+    return "\n".join(lines) + "\n"
 
 
 def prefix_indicator(k: int) -> EventuallyConstant:
@@ -162,12 +152,10 @@ def select_ai_subsequence(
     norms = tuple(Fraction(den + v, den) for v in scaled)
     cls = w.classify()
     if cls.liminf is None:
-        return AiSelection(kind=KIND_RUNNING_MIN, indices=indices, norms=norms)
+        return AiSelection(indices, norms)
     if slack is None:
         slack = Fraction(0) if cls.sup is None else cls.sup - cls.liminf
-    return AiSelection(
-        kind=KIND_BOUNDED_BAI, indices=indices, norms=norms, liminf=cls.liminf, slack=Fraction(slack)
-    )
+    return AiSelection(indices, norms, cls.liminf, Fraction(slack))
 
 
 def ditkin_approximation(

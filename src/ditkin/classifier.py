@@ -84,17 +84,14 @@ class PropertyReport:
     """Truth values plus witnesses for the regularity properties."""
 
     classification: WeightClassification
-    ditkin: bool
-    strongly_regular: bool
-    spectral_synthesis: bool
-    separable: bool
-    strong_ditkin: bool
-    m_infinity_has_bai: bool
-    bru_bade: bool
-    bru_dales: bool
-    dales_bound: Fraction | None
     bade_witness: AiSelection | None
     unboundedness_witness: tuple[tuple[int, Fraction], ...] | None
+
+    # not annotated, so not fields: four hold for every family, the classification decides the rest
+    ditkin = strongly_regular = spectral_synthesis = separable = True
+    strong_ditkin = m_infinity_has_bai = bru_bade = property(lambda self: self.classification.liminf_finite)
+    bru_dales = property(lambda self: self.classification.bounded)
+    dales_bound = property(lambda self: None if self.classification.sup is None else 2 * self.classification.sup + 1)
 
     def to_obj(self) -> dict:
         return {
@@ -115,20 +112,10 @@ class PropertyReport:
 
 def property_report(w: WeightFamily) -> PropertyReport:
     cls = w.classify()
-    liminf_finite, bounded = cls.liminf_finite, cls.bounded
     return PropertyReport(
-        classification=cls,
-        ditkin=True,
-        strongly_regular=True,
-        spectral_synthesis=True,
-        separable=True,
-        strong_ditkin=liminf_finite,
-        m_infinity_has_bai=liminf_finite,
-        bru_bade=liminf_finite,
-        bru_dales=bounded,
-        dales_bound=(2 * cls.sup + 1) if bounded else None,
-        bade_witness=select_ai_subsequence(w, DEFAULT_SELECTION_COUNT) if liminf_finite else None,
-        unboundedness_witness=None if bounded else _unboundedness_points(w, DEFAULT_SELECTION_COUNT),
+        cls,
+        select_ai_subsequence(w, DEFAULT_SELECTION_COUNT) if cls.liminf_finite else None,
+        None if cls.bounded else _unboundedness_points(w, DEFAULT_SELECTION_COUNT),
     )
 
 

@@ -133,7 +133,6 @@ class WeightClassification:
     sup: Fraction | None
     liminf: Fraction | None
     nondecreasing: bool
-    diverges_to_infinity: bool
 
     @property
     def bounded(self) -> bool:
@@ -142,6 +141,10 @@ class WeightClassification:
     @property
     def liminf_finite(self) -> bool:
         return self.liminf is not None
+
+    @property
+    def diverges_to_infinity(self) -> bool:
+        return self.liminf is None
 
     def to_obj(self) -> dict:
         return {
@@ -379,9 +382,7 @@ class WeightFamily:
             and slopes.count(slopes[0]) == len(slopes)
             and _steps_nondecreasing(form, slopes[0])
         )
-        return WeightClassification(
-            sup=sup, liminf=liminf, nondecreasing=nondecreasing, diverges_to_infinity=liminf is None
-        )
+        return WeightClassification(sup=sup, liminf=liminf, nondecreasing=nondecreasing)
 
 
 def _steps_nondecreasing(form: LeafForm, b: int) -> bool:
@@ -406,7 +407,7 @@ def _steps_nondecreasing(form: LeafForm, b: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=0)  # hashing the family tree cost more than a hit saved; the bench reads cache_info()
 def eventual_form(w: WeightFamily) -> EventualForm:
     return w._flatten()
 

@@ -247,6 +247,14 @@ class TestRuleBasedIntervals:
         res = f.sup_norm(10)
         assert res.lo == 0 and res.hi >= 1
 
+    def test_default_horizon_scans_past_a_short_support(self):
+        # f = 1 on 1..3 and 0 beyond: a scan to the default horizon (65,536) sees every jump
+        def bound(start, w):
+            return w.at(3) if start <= 3 else 0
+
+        f = RuleBased(lambda n: int(n <= 3), 0, bound)
+        assert f.norm(Constant(2)) == NormResult(3, 3, 1 << 16)
+
     def test_unweighted_certificate_required_at_construction(self):
         with pytest.raises(MissingTailBound):
             RuleBased(lambda n: Fraction(0), Fraction(0), lambda s, w: None)
@@ -351,6 +359,21 @@ class TestRuleBasedMemo:
             f.norm(ODD_EVEN_FAMILY, horizon=8)
         with pytest.raises(MissingTailBound):
             residual_norm(f, ODD_EVEN_FAMILY, 3, horizon=8)
+
+    def test_a_scanned_point_is_read_from_the_memo(self):
+        calls = []
+        f = RuleBased(lambda n: calls.append(n) or Fraction(1, n), 0, lambda s, w: Fraction(1, s))
+        f.sup_norm(4)
+        assert f.at(4) == Fraction(1, 4) and calls == [1, 2, 3, 4]
+
+    def test_window_from_one_reads_every_block(self):
+        # the one nonzero value, f(33), opens the second block of a window
+        # [1, 33 * 1024] whose end lies far past it
+        def bound(start, w):
+            return (w.at(32) if start <= 32 else 0) + (w.at(33) if start <= 33 else 0)
+
+        f = RuleBased(lambda n: int(n == 33), 0, bound)
+        assert f.tail_sup(1, 33 * 1024, 0).lo == 1
 
     def test_exact_memo_stays_out_of_identity(self):
         f = EventuallyConstant((Fraction(1), Fraction(-2, 3), Fraction(1, 2)), Fraction(0))

@@ -38,8 +38,10 @@ from _support import (
     dense_searches,
     dense_sup_liminf,
     dense_tail_infimum,
+    exact_elements,
     m_infinity_elements,
     random_family,
+    small_fractions,
     weight_families,
 )
 
@@ -220,6 +222,14 @@ class TestSelection:
         assert sel.indices == (1, 2, 3, 4)
         assert max(sel.norms) <= 1 + sel.liminf + sel.slack
 
+    def test_default_slack_records_the_threshold(self):
+        # bounded weights select every index, so the threshold liminf + slack is the sup;
+        # unbounded ones select only liminf attainers, with slack 0
+        sel = select_ai_subsequence(Interleave((Constant(2), Constant(1))), 4)
+        assert (sel.liminf, sel.slack) == (1, 1)
+        sel = select_ai_subsequence(ODD_EVEN_FAMILY, 4)
+        assert (sel.liminf, sel.slack) == (1, 0)
+
     def test_divergent_interleave_running_min(self):
         w = Interleave((Linear(0, 10), Linear(0, 1)))
         sel = select_ai_subsequence(w, 5)
@@ -338,6 +348,35 @@ class TestRuleBasedTier:
         assert sorted(calls) == list(range(1, max(calls) + 1))
 
 
+class TestIntervalSoundness:
+    """A rule-based copy of an exact element g, certified by g's exact tail
+    sums or by twice them (still consistent under refinement), brackets g's
+    exact norm and residuals at every horizon; the bracket never widens as
+    the horizon grows and is exact once the scan passes g's last jump."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        exact_elements(tail=st.one_of(st.just(Fraction(0)), small_fractions)),
+        weight_families(),
+        st.sampled_from([1, 2]),
+        st.lists(st.integers(1, 15), min_size=1, max_size=3),
+    )
+    def test_intervals_bracket_the_exact_value(self, g, w, looseness, ks):
+        f = RuleBased(g.at, g.limit, lambda s, u: looseness * g.tail_variation(u, s, s, 0).value)
+        queries = {"norm": (lambda h: f.norm(w, h), g.norm(w).value)}
+        if g.limit == 0:
+            for k in ks:
+                queries[k] = (lambda h, k=k: residual_norm(f, w, k, h), residual_norm(g, w, k).value)
+        horizons = sorted({0, 1, 5, len(g.prefix) + 3})
+        for name, (query, exact) in queries.items():
+            results = [query(h) for h in horizons]
+            for h, res in zip(horizons, results):
+                assert res.lo <= exact <= res.hi, (name, h, res, exact)
+            for coarse, fine in zip(results, results[1:]):
+                assert coarse.lo <= fine.lo and fine.hi <= coarse.hi, (name, coarse, fine)
+            assert results[-1].lo == results[-1].hi == exact, name
+
+
 class TestDitkinApproximation:
     def test_exact_tier_returns_support(self):
         f = prefix_indicator(5) - prefix_indicator(3)
@@ -358,6 +397,11 @@ class TestDitkinApproximation:
         assert res.hi <= Fraction(1, 100)
         assert k % 2 == 1  # drawn from the odd attaining arm
         assert residual_norm(DYADIC, ODD_EVEN_FAMILY, k) == res
+
+    def test_tolerance_met_with_equality(self):
+        # the candidates before k all lie above 1/100 >= res.hi, so k is still the first to meet tol
+        k, res = ditkin_approximation(DYADIC, ODD_EVEN_FAMILY, Fraction(1, 100))
+        assert ditkin_approximation(DYADIC, ODD_EVEN_FAMILY, res.hi) == (k, res)
 
     def test_tiny_tolerance(self):
         tol = Fraction(1, 10**6)

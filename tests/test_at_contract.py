@@ -181,9 +181,9 @@ def test_exact_level_is_accepted(name, t):
     LEVELS[name](t)
 
 
-# Every entry point that takes a rational value x from a caller.  A value that
-# a RuleBased callback returns is read as the callback gives it, so the
-# callbacks here return exact values and only the argument varies.
+# Every entry point that takes a rational value x from a caller.  The
+# callbacks here return exact values and only the argument varies; a value
+# that a RuleBased callback returns is checked when it is read (CALLBACKS).
 RATIONALS = {
     "constant": lambda x: Constant(x),
     "linear_offset": lambda x: Linear(x, 1),
@@ -215,3 +215,30 @@ def test_non_rational_value_raises_type_error(name, x):
 @pytest.mark.parametrize("x", [1, F(1, 2)], ids=["int", "fraction"])
 def test_exact_value_is_accepted(name, x):
     RATIONALS[name](x)
+
+
+# RuleBased with one callback returning x: value_at(n), then the tail bound.
+CALLBACKS = {
+    "value_at": (lambda x: RuleBased(lambda n: x, 0, lambda start, w: F(1, start)), "value_at"),
+    "tail_bound": (lambda x: RuleBased(lambda n: F(1, n), 0, lambda start, w: x), "tail_variation_bound"),
+}
+
+
+@pytest.mark.parametrize("name", CALLBACKS)
+@pytest.mark.parametrize("x", [0.5, "1/2", Decimal("0.5")], ids=["float", "str", "decimal"])
+def test_non_rational_callback_value_raises_type_error(name, x):
+    make, label = CALLBACKS[name]
+    f = make(x)
+    if name == "value_at":
+        with pytest.raises(TypeError, match=f"^{label}.* must be an int or a Fraction"):
+            f.at(3)
+    with pytest.raises(TypeError, match=f"^{label}.* must be an int or a Fraction"):
+        f.sup_norm(4)
+
+
+@pytest.mark.parametrize("name", CALLBACKS)
+@pytest.mark.parametrize("x", [1, F(1, 2)], ids=["int", "fraction"])
+def test_exact_callback_value_is_accepted(name, x):
+    f = CALLBACKS[name][0](x)
+    assert f.at(3) == (x if name == "value_at" else F(1, 3))
+    assert f.sup_norm(4).lo == (x if name == "value_at" else 1)

@@ -174,6 +174,11 @@ class TestSelectAi:
         indices = json.loads(capsys.readouterr().out)["indices"]
         assert indices[:3] == [1, 3, 5] and len(indices) == MAX_SELECTION_COUNT
 
+    def test_least_count_and_slack_are_accepted(self, odd_even_weights_file, capsys):
+        assert main(["select-ai", odd_even_weights_file, "--count", "1", "--slack", "0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["indices"], out["slack"]) == ([1], "0")
+
     @pytest.mark.parametrize(
         "weights",
         [ODD_EVEN_WEIGHTS, {"family": "linear", "offset": "0", "slope": "1"}],

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from ditkin import Constant, Linear, dyadic_counterexample
+from ditkin import Constant, DyadicDecay, Interleave, Linear, PrefixOverride, dyadic_counterexample, residual_norm
 from ditkin.classifier import REPRO_CHECKS, repro_checks
 from ditkin.cli import COMMANDS, main
 
@@ -120,6 +120,15 @@ class TestReproChecks:
         assert self_terms["failures"][0] == {"at": "k=2", "expected": "1/4", "computed": "1/8"}
         assert len(self_terms["failures"]) == 19
         assert residual["failures"][0] == {"at": "m=3", "expected": ">= 1/4", "computed": "3/16"}
+
+    def test_residual_bound_of_exactly_one_quarter_passes(self):
+        # n/2 on even and 1/2 on odd indices, with alpha_4 = 1/2: the residual at
+        # k = 4 is 1/8 + 1/16 + 1/16 = 1/4 exactly, and above 1/4 at every other 2^m
+        w = PrefixOverride((Fraction(1, 2), 1, Fraction(1, 2), Fraction(1, 2)),
+                           Interleave((Linear(0, Fraction(1, 2)), Constant(Fraction(1, 2)))))
+        assert residual_norm(DyadicDecay(), w, 4).lo == Fraction(1, 4)
+        jump, self_terms, residual, norm = repro_checks(w)
+        assert residual["pass"] and not self_terms["pass"]
 
     def test_divergent_weights_report_an_evaluation_error(self):
         jump, self_terms, residual, norm = repro_checks(Linear(Fraction(0), Fraction(1)))

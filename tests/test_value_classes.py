@@ -27,13 +27,14 @@ from ditkin import (
     TailInf,
     WeightClassification,
 )
+from ditkin.classifier import PROPERTIES
 from ditkin.weights import EventualForm, LeafForm
 
 F = Fraction
 
 
 def _classification():
-    return WeightClassification(sup=F(2), liminf=F(1), nondecreasing=False, diverges_to_infinity=False)
+    return WeightClassification(sup=F(2), liminf=F(1), nondecreasing=False)
 
 
 # (constructor, pinned repr), one per class
@@ -41,8 +42,7 @@ CASES = {
     "TailInf": (lambda: TailInf(3, F(1, 2), 4), "TailInf(at_index=3, value=Fraction(1, 2), attained_at=4)"),
     "WeightClassification": (
         _classification,
-        "WeightClassification(sup=Fraction(2, 1), liminf=Fraction(1, 1), nondecreasing=False, "
-        "diverges_to_infinity=False)",
+        "WeightClassification(sup=Fraction(2, 1), liminf=Fraction(1, 1), nondecreasing=False)",
     ),
     "EventualForm": (
         lambda: EventualForm(2, 2, ((F(1), F(0)), (F(0), F(1)))),
@@ -74,9 +74,8 @@ CASES = {
     ),
     "DyadicDecay": (lambda: DyadicDecay(F(-2)), "DyadicDecay(coefficient=Fraction(-2, 1))"),
     "AiSelection": (
-        lambda: AiSelection("running_min", (1, 3), (F(2), F(4))),
-        "AiSelection(kind='running_min', indices=(1, 3), norms=(Fraction(2, 1), Fraction(4, 1)), "
-        "liminf=None, slack=None)",
+        lambda: AiSelection((1, 3), (F(2), F(4))),
+        "AiSelection(indices=(1, 3), norms=(Fraction(2, 1), Fraction(4, 1)), liminf=None, slack=None)",
     ),
     "DiagnosticRow": (
         lambda: DiagnosticRow(2, NormResult.exact(1), F(1, 2), F(0)),
@@ -84,12 +83,9 @@ CASES = {
         "alpha_next=Fraction(1, 2), alpha_self=Fraction(0, 1))",
     ),
     "PropertyReport": (
-        lambda: PropertyReport(_classification(), *[True] * 8, F(5), None, None),
+        lambda: PropertyReport(_classification(), None, None),
         "PropertyReport(classification=WeightClassification(sup=Fraction(2, 1), liminf=Fraction(1, 1), "
-        "nondecreasing=False, diverges_to_infinity=False), ditkin=True, strongly_regular=True, "
-        "spectral_synthesis=True, separable=True, strong_ditkin=True, m_infinity_has_bai=True, "
-        "bru_bade=True, bru_dales=True, dales_bound=Fraction(5, 1), bade_witness=None, "
-        "unboundedness_witness=None)",
+        "nondecreasing=False), bade_witness=None, unboundedness_witness=None)",
     ),
     "RelativeUnitWitness": (
         lambda: RelativeUnitWitness(INFINITY, 1, EventuallyConstant((1,)), F(2)),
@@ -171,14 +167,26 @@ class TestValueClass:
 
 
 def test_defaults_and_keywords():
-    s = AiSelection(kind="bounded_bai", indices=(1,), norms=(F(2),))
-    assert s.liminf is None and s.slack is None
-    assert AiSelection("k", (), (), liminf=F(1)).slack is None
+    s = AiSelection(indices=(1,), norms=(F(2),))
+    assert s.liminf is None and s.slack is None and s.kind == "running_min"
+    s = AiSelection((), (), liminf=F(1))
+    assert s.slack is None and s.kind == "bounded_bai"
     assert NormResult(lo=1, hi=2).horizon is None
     assert ClosedSet() == ClosedSet(points=(), with_infinity=False)
     assert DyadicDecay() == DyadicDecay(coefficient=F(1))
     assert Linear(slope=2, offset=1) == Linear(1, 2)
     assert EventuallyConstant(tail=F(3)) == EventuallyConstant((), 3)
+
+
+@pytest.mark.parametrize("sup, liminf", [(F(2), F(1)), (None, F(1)), (None, None)], ids=["bounded", "finite", "divergent"])
+def test_derived_facts_are_read_from_the_fields(sup, liminf):
+    cls = WeightClassification(sup, liminf, False)
+    report, selection = PropertyReport(cls, None, None), AiSelection((1,), (F(2),), liminf)
+    assert (len(vars(cls)), len(vars(report)), len(vars(selection))) == (3, 3, 4)
+    assert cls.diverges_to_infinity is (liminf is None) is not cls.liminf_finite
+    assert [getattr(report, n) for n in PROPERTIES] == [True] * 4 + [liminf is not None] * 3 + [sup is not None]
+    assert report.dales_bound == (None if sup is None else 2 * sup + 1)
+    assert selection.kind == ("running_min" if liminf is None else "bounded_bai")
 
 
 def test_equal_values_in_other_classes_differ():

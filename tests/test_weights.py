@@ -329,6 +329,9 @@ class TestArmCap:
         with pytest.raises(SchemaError, match=r"65792 arms, over the cap of 65536"):
             eventual_form(Interleave((_constants(256), _constants(257))))
 
+    def test_dense_form_of_exactly_the_cap(self):
+        assert len(eventual_form(_constants(MAX_ARMS)).arms) == MAX_ARMS
+
     def test_coprime_part_counts_rejected_fast(self):
         # 322 leaves; the dense form would need the product of the primes to 47
         w = Interleave(tuple(_constants(p) for p in PRIMES_TO_47))
@@ -394,6 +397,13 @@ class TestLeafForm:
         )
         w = Interleave(parts)
         assert w.classify().nondecreasing == dense_nondecreasing(w)
+
+    def test_one_slope_steps_are_read_forwards(self):
+        # alpha_n = c[n % 3] + n with c = (2, 0, 1): 1, 3, 5, 4, ... falls from n = 3 to 4,
+        # though each offset exceeds the one on the residue before it by at most the slope
+        w = Interleave((Linear(2, 1), Linear(0, 1), Linear(1, 1)))
+        assert w.at(3) > w.at(4)
+        assert not w.classify().nondecreasing and not dense_nondecreasing(w)
 
     @settings(deadline=None, max_examples=100)
     @given(weight_families(), st.integers(1, 40))
@@ -491,6 +501,20 @@ class TestLeafForm:
         # so the sum is 1/4 + 3/8 + (1/16 + 1/32 + ...) = 3/4
         w = Interleave(tuple(Linear(0, 1) if i == 3 else Constant(1) for i in range(8)))
         assert dyadic_jump_tail(w, 1) == dense_dyadic_jump_tail(w, 1) == Fraction(3, 4)
+
+    def test_leaves_of_nested_parts_sharing_a_factor(self):
+        # M = 4 parts around parts of m = 2 and m = 6 (g = 2): the leaf residue inverts
+        # M/g = 2 modulo m/g = 1 and 3, and is reduced below the leaf modulus 12
+        six = Interleave(tuple(Constant(6 + j) for j in range(6)))
+        w = Interleave((Interleave((Constant(1), Constant(2))), Constant(3), Constant(4), six))
+        den, values = w.scaled_at(range(1, 49))
+        assert [Fraction(v, den) for v in values] == [w.at(n) for n in range(1, 49)]
+
+    def test_jump_sum_scales_hits_before_a_longer_cycle(self):
+        # modulo 12 the jumps 1, 3, 7, 15, ... sit on 1, then on the cycle 3, 7: with
+        # alpha = r + 1 on residue r the sum is 2/4 + 4 (1/8 + 1/32 + ...) + 8 (1/16 + 1/64 + ...)
+        w = Interleave(tuple(Constant(r + 1) for r in range(12)))
+        assert dyadic_jump_tail(w, 1) == dense_dyadic_jump_tail(w, 1) == Fraction(11, 6)
 
     def test_build_makes_one_fraction_per_parsed_value(self, monkeypatch):
         # a count, unlike a wall-clock guard, does not drift with machine speed: past
