@@ -17,7 +17,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import accumulate, chain, compress, groupby, islice, repeat
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import (
     MissingTailBound,
@@ -472,12 +472,13 @@ class RuleBased(Element):
         self._value_at = value_at
         self.limit = rational(limit)
         self._tail_bound = tail_variation_bound
-        # memo grown to the largest index scanned: f(1..m), |f(1..m)|, the max
-        # of |f| over each full block of _BLOCK indices and, per family, the
-        # partial sums S[i] = sum_{j<=i} alpha_j * |f(j+1) - f(j)|
+        # memo grown to the largest index scanned: f(1..m), which at() returns, their signed numerators
+        # and denominators, max |f| = |p|/q as (|p|, q) per full block of _BLOCK indices and, per family,
+        # S[i] = sum_{j<=i} alpha_j * |f(j+1) - f(j)|; sups cross-multiply, sums add only nonzero jumps
         self._values: list[Fraction] = []
-        self._abs: list[Fraction] = []
-        self._blocks: list[Fraction] = []
+        self._nums: list[int] = []
+        self._dens: list[int] = []
+        self._blocks: list[tuple[int, int]] = []
         self._sums: dict[int, tuple[WeightFamily, list[Fraction]]] = {}
         if self._tail_bound(1, _UNIT_WEIGHTS) is None:
             raise MissingTailBound(
@@ -490,22 +491,24 @@ class RuleBased(Element):
         return rational(self._value_at(n), "value_at(n)")
 
     def _scan_to(self, m: int) -> None:
-        for n in range(len(self._values) + 1, m + 1):
+        values, nums, dens = self._values, self._nums, self._dens
+        for n in range(len(values) + 1, m + 1):
             v = rational(self._value_at(n), "value_at(n)")
-            self._values.append(v)
-            self._abs.append(v if v.numerator >= 0 else -v)
+            values.append(v)
+            nums.append(v.numerator)
+            dens.append(v.denominator)
             if n % _BLOCK == 0:
-                self._blocks.append(max(self._abs[n - _BLOCK :]))
+                self._blocks.append(_max_ratio(zip(nums[n - _BLOCK :], dens[n - _BLOCK :])))
 
     def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
         _check_window(start, end)
         self._scan_to(end)
-        # |f(start..end)| is _abs[start-1:end]: a partial head block, the full
-        # blocks [i, j) and a partial tail block
+        # |f(start..end)| is a partial head block, the full blocks [i, j) and a partial tail block
         i = min(end, -(-(start - 1) // _BLOCK) * _BLOCK)
         j = max(i, end // _BLOCK * _BLOCK)
-        window = chain(self._abs[start - 1 : i], self._blocks[i // _BLOCK : j // _BLOCK], self._abs[j:end])
-        lo = max(abs(self.limit), max(window, default=0))
+        nums, dens = self._nums, self._dens
+        head, tail = zip(nums[start - 1 : i], dens[start - 1 : i]), zip(nums[j:end], dens[j:end])
+        lo = max(abs(self.limit), Fraction(*_max_ratio(chain(head, self._blocks[i // _BLOCK : j // _BLOCK], tail))))
         # beyond the scan, |f(j)| <= |limit| + (unweighted variation tail)
         hi = max(lo, abs(self.limit) + self.tail_bound(end + 1, _UNIT_WEIGHTS))
         return NormResult(lo, hi, horizon)
@@ -516,10 +519,13 @@ class RuleBased(Element):
         self._scan_to(end + 1)
         # keyed by id(w), which the entry keeps alive: hashing a family walks its tree
         _, sums = self._sums.setdefault(id(w), (w, [Fraction(0)]))
-        v = self._values
-        for j in range(len(sums), end + 1):  # a zero jump repeats the last sum
-            s = sums[-1]
-            sums.append(s if v[j] == v[j - 1] else s + w.at(j) * abs(v[j] - v[j - 1]))
+        v, nums, dens, n = self._values, self._nums, self._dens, len(sums)
+        # the jumps j in [n, end] with f(j + 1) != f(j): its numerator or its denominator moves
+        moved = map(operator.ne, zip(nums[n - 1 : end], dens[n - 1 : end]), zip(nums[n : end + 1], dens[n : end + 1]))
+        for j in compress(range(n, end + 1), moved):
+            sums.extend(repeat(sums[-1], j - len(sums)))  # zero jumps repeat the last sum
+            sums.append(sums[-1] + w.at(j) * abs(v[j] - v[j - 1]))
+        sums.extend(repeat(sums[-1], end + 1 - len(sums)))
         lo = sums[end] - sums[start - 1]
         return NormResult(lo, lo + self.tail_bound(end + 1, w), horizon)
 
@@ -547,6 +553,15 @@ class RuleBased(Element):
             return None if b is None else abs(c) * b
 
         return RuleBased(lambda n: c * inner_value(n), c * limit, bound)
+
+
+def _max_ratio(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """(|p|, q) of the largest |p|/q among pairs (p, q) with q >= 1, (0, 1) for none: one cross-multiplication each."""
+    bp, bq = 0, 1
+    for p, q in pairs:
+        if abs(p) * bq > bp * q:
+            bp, bq = abs(p), q
+    return bp, bq
 
 
 def _check_window(start: int, end: int) -> None:

@@ -10,10 +10,12 @@ before and after.  Each family from `_support.random_family` contributes
 the reprs of: the family and its JSON round trip, `property_report` and its
 JSON form, `classify`, tail infima, searches, selections,
 `dyadic_jump_tail`, `at` and `scaled_at`, `ditkin_approximation` on the
-dyadic staircase, relative-unit witnesses, and a random exact element's JSON
-round trip, norm and residual diagnostics.  A raised exception is hashed as
-its class name and message, so error paths are compared too.  The file is
-not a test module: pytest does not collect it.
+dyadic staircase, relative-unit witnesses, a random exact element's JSON
+round trip, norm and residual diagnostics, and the interval tier on the same
+values: a `RuleBased` copy of that element, certified by its exact tail sums,
+with its norm at two horizons, two residuals and `ditkin_approximation`.
+A raised exception is hashed as its class name and message, so error paths
+are compared too.  The file is not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -73,6 +75,12 @@ def family_records(seed: int):
     yield _outcome(lambda: dk.element_from_obj(json.loads(json.dumps(dk.element_to_obj(f)))) == f)
     yield _outcome(lambda: f.norm(w))
     yield _outcome(lambda: dk.residual_diagnostics(f, w, sorted(rng.sample(range(1, 40), 4))))
+    g = dk.RuleBased(f.at, f.limit, lambda s, u: f.tail_variation(u, s, s, 0).value)
+    for horizon in (rng.randint(0, 16), rng.randint(17, 80)):
+        yield _outcome(lambda: g.norm(w, horizon))
+    for k in (rng.randint(1, 10), rng.randint(11, 40)):
+        yield _outcome(lambda: dk.residual_norm(g, w, k, rng.randint(0, 40)))
+    yield _outcome(lambda: dk.ditkin_approximation(g, w, Fraction(1, rng.randint(1, 100)), horizon=32))
 
 
 def digest() -> tuple[str, int]:

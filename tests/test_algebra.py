@@ -2,6 +2,7 @@
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from ditkin import (
     SchemaError,
     UndecidableMembership,
     UnsupportedOperandKind,
+    ditkin_approximation,
     dyadic_counterexample,
     element_from_obj,
     element_to_obj,
@@ -366,6 +368,35 @@ class TestRuleBasedMemo:
         f.sup_norm(4)
         assert f.at(4) == Fraction(1, 4) and calls == [1, 2, 3, 4]
 
+    def test_value_at_runs_once_per_index(self):
+        # the README's contract, by count: a norm, three residuals and the approximation
+        # at horizon 1024 read each index of a signed staircase multiple once
+        c, w, reads = Fraction(-9, 4), Interleave((Constant(1), Constant(Fraction(3, 2)))), Counter()
+
+        def value(n):
+            reads[n] += 1
+            return c * DYADIC.at(n)
+
+        f = RuleBased(value, 0, lambda s, u: abs(c) * dyadic_jump_tail(u, s))
+        f.norm(w, horizon=1024)
+        for k in (3, 40, 200):
+            residual_norm(f, w, k, horizon=1024)
+        ditkin_approximation(f, w, Fraction(1, 24), horizon=1024)
+        assert len(reads) == max(reads) > 1024 + 200 and set(reads.values()) == {1}
+
+    def test_a_bad_value_keeps_the_values_before_it(self):
+        # value_at(40) is a float: the scan stops there, and f(1..39) stay in the memo
+        calls = []
+
+        def value(n):
+            calls.append(n)
+            return 0.5 if n == 40 else Fraction(1, n)
+
+        f = RuleBased(value, 0, lambda s, w: Fraction(1, s))
+        with pytest.raises(TypeError, match=r"value_at\(n\) must be an int or a Fraction, got float"):
+            f.sup_norm(64)
+        assert f.sup_norm(39) == NormResult(1, 1, 39) and calls == list(range(1, 41))
+
     def test_window_from_one_reads_every_block(self):
         # the one nonzero value, f(33), opens the second block of a window
         # [1, 33 * 1024] whose end lies far past it
@@ -405,6 +436,9 @@ class TestRuleBasedWindows:
     """Every rule-based window against a direct scan of value_at, whatever
     the memo holds when it is asked for."""
 
+    # small denominators and distinct primes near 2**61: a window's lcm would be huge
+    DENOMINATORS = (1, 2, 3, 2**61 - 1, 2**61 - 31, 2**61 + 15, 2**61 + 21)
+
     @settings(deadline=None, max_examples=80)
     @given(
         st.lists(st.tuples(small_fractions, st.integers(1, 40)), min_size=1, max_size=24),
@@ -428,6 +462,30 @@ class TestRuleBasedWindows:
             assert f.tail_sup(start, end, end).lo == sup, (start, end)
             jumps = [w.at(j) * abs(value(j + 1) - value(j)) for j in range(start, end + 1)]
             assert f.tail_variation(w, start, end, end).lo == sum(jumps), (start, end)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.tuples(st.integers(-60, 60), st.sampled_from(DENOMINATORS), st.integers(1, 12)), max_size=40),
+        st.tuples(st.integers(-60, 60), st.sampled_from(DENOMINATORS)),
+        weight_families(),
+        st.lists(st.tuples(st.integers(1, 80), st.integers(0, 400)), min_size=1, max_size=10),
+    )
+    def test_windows_of_a_growing_memo_match_a_direct_scan(self, runs, limit, w, steps):
+        # a fresh element asked for windows by increasing end: the memo grows in
+        # uneven steps that start and end off the block edges
+        vals, limit = [Fraction(p, q) for p, q, n in runs for _ in range(n)], Fraction(*limit)
+        value = lambda n: vals[n - 1] if n <= len(vals) else limit
+        exact_tail = lambda s, u: sum(
+            (u.at(j) * abs(value(j + 1) - value(j)) for j in range(s, len(vals) + 1)), Fraction(0)
+        )
+        f, end = RuleBased(value, limit, exact_tail), 0
+        for step, back in steps:
+            end += step
+            start = end + 1 - min(back, end)
+            sup = max([abs(limit)] + [abs(value(j)) for j in range(start, end + 1)])
+            assert f.tail_sup(start, end, end).lo == sup, (start, end)
+            jumps = sum((w.at(j) * abs(value(j + 1) - value(j)) for j in range(start, end + 1)), Fraction(0))
+            assert f.tail_variation(w, start, end, end) == NormResult(jumps, exact_tail(start, w), end), (start, end)
 
     @staticmethod
     def _staircase_copy(grown: bool) -> RuleBased:
