@@ -17,7 +17,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import accumulate, chain, compress, groupby, islice, repeat
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     MissingTailBound,
@@ -367,22 +367,22 @@ class EventuallyConstant(Element):
         else:
             den = math.lcm(self.den, other.den)
             a, b = den // self.den, den // other.den
-        ends = sorted(set(self.ends).union(other.ends))
+        ends = self.ends if self.ends == other.ends else sorted(set(self.ends).union(other.ends))
         vals = list(map(op, self._on(ends, a), other._on(ends, b)))
         return self._of(den, ends, vals[:-1], vals[-1])
 
-    def _on(self, ends: list[int], c: int) -> list[int]:
+    def _on(self, ends: Sequence[int], c: int) -> Sequence[int]:
         """c times the numerator on each run of `ends`, a refinement of the
         run ends, and then c times the tail numerator."""
         vals = self.nums + (self.tail_num,)
-        if len(ends) > len(self.ends):  # ends splits some run: look each one up
-            vals = [vals[i] for i in map(bisect.bisect_left, repeat(self.ends), ends)] + [self.tail_num]
-        return [c * x for x in vals]
+        if len(ends) > len(self.ends):  # ends splits some run: count the own ends before each end, not bisect
+            vals = list(map(vals.__getitem__, accumulate(map(set(self.ends).__contains__, ends), initial=0)))
+        return vals if c == 1 else [c * x for x in vals]
 
     @functools.cached_property
     def _sups(self) -> list[int]:
-        # _sups[i] = max |numerator| from run i on, the tail included.  Cached
-        # in the instance dict, the memo takes no part in ==, hash or repr.
+        # _sups[i] = max |numerator| from run i on, the tail included, built on the first
+        # start past run 0.  Cached in the instance dict, it takes no part in ==, hash or repr.
         return list(accumulate(map(abs, reversed(self.nums)), max, initial=abs(self.tail_num)))[::-1]
 
     @functools.cached_property
@@ -393,7 +393,7 @@ class EventuallyConstant(Element):
 
     def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
         i = bisect.bisect_left(self.ends, natural(start, "start must be >= 1"))  # the run holding start
-        return NormResult.exact(Fraction(self._sups[i], self.den))
+        return NormResult.exact(Fraction(self._sups[i] if i else max(map(abs, (*self.nums, self.tail_num))), self.den))
 
     def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
         # every jump sits at a run end

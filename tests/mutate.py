@@ -160,13 +160,13 @@ def sites(path: Path) -> list[Site]:
             raise ValueError(f"{path.name}:{left.end_lineno}: no {symbol!r} between the operands")
         new = SYMBOLS[SWAPS[type(op)]] + symbol[len(SYMBOLS[type(op)]):]
         mutated = data[: lo + match.start()] + new.encode() + data[lo + match.end():]
-        ast.parse(mutated)  # still a module
         line = data[: lo + match.start()].count(b"\n") + 1
         col = lo + match.start() - starts[line - 1] + 1
         marked = data[starts[line - 1] : lo + match.start()] + f"{{{symbol} -> {new}}}".encode()
         marked += data[lo + match.end() : starts[line]]
         code = marked.decode().split("  #")[0].strip()
-        expr = " ".join(ast.get_source_segment(source, node).split())
+        expr = data[starts[node.lineno - 1] + node.col_offset : starts[node.end_lineno - 1] + node.end_col_offset]
+        expr = " ".join(expr.decode().split())
         found.append(Site(path, line, col, scopes[id(node)], code, expr, type(op), mutated))
     return sorted(found, key=lambda s: (s.line, s.col))
 
@@ -234,6 +234,7 @@ def main(argv: list[str] | None = None) -> int:
                 counts["equivalent"] += 1
                 print(f"{site}  equivalent: {site.equivalent}", flush=True)
                 continue
+            ast.parse(site.mutated)  # still a module
             target = copy / site.path.relative_to(ROOT)
             original = target.read_bytes()
             target.write_bytes(site.mutated)

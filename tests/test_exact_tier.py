@@ -10,10 +10,18 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ditkin import Constant, EventuallyConstant, Interleave, PrefixOverride, residual_diagnostics, residual_norm
+from ditkin import (
+    Constant,
+    EventuallyConstant,
+    Interleave,
+    PrefixOverride,
+    prefix_indicator,
+    residual_diagnostics,
+    residual_norm,
+)
 from ditkin.approx_identity import residual_oracle
 from ditkin.weights import eventual_form
 
@@ -54,23 +62,28 @@ def model_variation(w, vals: list[Fraction], start: int) -> Fraction:
     )
 
 
+def assert_arithmetic(rf, rg, c=Fraction(-3, 2)) -> None:
+    """f + g, f - g, f * g and c * f against the model, f and g given as (runs, tail)."""
+    f, g, n = EventuallyConstant.from_runs(*rf), EventuallyConstant.from_runs(*rg), span(rf, rg)
+    fv, gv, ft, gt = expand(*rf, n), expand(*rg, n), rf[1], rg[1]
+    assert values(f, n) == fv and f.tail == ft
+    assert f.prefix == tuple(fv[: len(f.prefix)]) and fv[len(f.prefix) :] == [ft] * (n - len(f.prefix))
+    for h, want, tail in [
+        (f + g, [x + y for x, y in zip(fv, gv)], ft + gt),
+        (f - g, [x - y for x, y in zip(fv, gv)], ft - gt),
+        (f * g, [x * y for x, y in zip(fv, gv)], ft * gt),
+        (f.scale(c), [c * x for x in fv], c * ft),
+    ]:
+        assert values(h, n) == want and h.tail == tail
+        assert expand(h.runs, h.tail, n) == want
+        assert_canonical(h)
+
+
 class TestAgainstModel:
     @settings(deadline=None, max_examples=150)
     @given(raw_runs(), raw_runs(), small_fractions)
     def test_arithmetic(self, rf, rg, c):
-        f, g, n = EventuallyConstant.from_runs(*rf), EventuallyConstant.from_runs(*rg), span(rf, rg)
-        fv, gv, ft, gt = expand(*rf, n), expand(*rg, n), rf[1], rg[1]
-        assert values(f, n) == fv and f.tail == ft
-        assert f.prefix == tuple(fv[: len(f.prefix)]) and fv[len(f.prefix) :] == [ft] * (n - len(f.prefix))
-        for h, want, tail in [
-            (f + g, [x + y for x, y in zip(fv, gv)], ft + gt),
-            (f - g, [x - y for x, y in zip(fv, gv)], ft - gt),
-            (f * g, [x * y for x, y in zip(fv, gv)], ft * gt),
-            (f.scale(c), [c * x for x in fv], c * ft),
-        ]:
-            assert values(h, n) == want and h.tail == tail
-            assert expand(h.runs, h.tail, n) == want
-            assert_canonical(h)
+        assert_arithmetic(rf, rg, c)
 
     @settings(deadline=None, max_examples=150)
     @given(raw_runs(), raw_runs())
@@ -98,6 +111,58 @@ class TestAgainstModel:
     def test_residual_norm_matches_the_oracle(self, rf, w, k):
         f = EventuallyConstant.from_runs(*rf)
         assert residual_norm(f, w, k) == residual_oracle(f, w, k)
+
+
+class TestRunLayouts:
+    """Arithmetic reads each operand on the merged run ends, and skips the merge when
+    the operands share their ends; every layout must agree with the model."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(raw_runs(), st.integers(1, 30))
+    def test_one_operand_is_a_prefix_indicator(self, rf, k):
+        indicator = (((Fraction(1), k),), Fraction(0))
+        assert prefix_indicator(k) == EventuallyConstant.from_runs(*indicator)
+        assert_arithmetic(rf, indicator)
+        assert_arithmetic(indicator, rf)
+
+    @settings(deadline=None, max_examples=100)
+    @given(raw_runs())
+    def test_operands_that_share_their_ends(self, rf):
+        f, n = EventuallyConstant.from_runs(*rf), span(rf)
+        assert_arithmetic(rf, rf)  # f * f among them
+        assert_arithmetic(rf, (f.scale(Fraction(1, 3)).runs, rf[1] / 3))  # the same ends over another denominator
+        h, t = f * f - f, rf[1]
+        assert values(h, n) == [x * x - x for x in expand(*rf, n)] and h.tail == t * t - t
+        assert_canonical(h)
+
+    @settings(deadline=None, max_examples=100)
+    @given(raw_runs(), st.data())
+    def test_one_operands_ends_are_a_strict_subset(self, rf, data):
+        f = EventuallyConstant.from_runs(*rf)
+        assume(f.ends)
+        kept = sorted(data.draw(st.lists(st.sampled_from(f.ends), unique=True, max_size=len(f.ends) - 1)))
+        c = data.draw(positive_fractions)
+        # the values c, 2c, ... and the tail 0 differ from their neighbours: the ends stay as drawn
+        coarse = (tuple((c * (i + 1), e - s) for i, (s, e) in enumerate(zip([0] + kept, kept))), Fraction(0))
+        assert EventuallyConstant.from_runs(*coarse).ends == tuple(kept)
+        assert set(kept) < set(f.ends)
+        assert_arithmetic(rf, coarse)
+        assert_arithmetic(coarse, rf)
+
+    @settings(deadline=None, max_examples=30)
+    @given(*[st.tuples(st.lists(st.tuples(VALUES, st.integers(1, 6)), min_size=20, max_size=40), VALUES)] * 2)
+    def test_many_runs(self, rf, rg):
+        assert_arithmetic(rf, rg)
+
+    @settings(deadline=None, max_examples=100)
+    @given(raw_runs())
+    def test_sup_from_start_one_before_and_after_the_suffix_maxima(self, rf):
+        f, vals = EventuallyConstant.from_runs(*rf), expand(*rf, span(rf))
+        want = max(abs(v) for v in vals + [rf[1]])
+        assert f.tail_sup(1, 1, 0).value == want and "_sups" not in vars(f)  # one pass, no table
+        later = f.ends[0] + 1 if f.ends else 2
+        assert f.tail_sup(later, later, 0).value == max(abs(v) for v in vals[later - 1 :] + [rf[1]])
+        assert f.tail_sup(1, 1, 0).value == want and f.sup_norm().value == want
 
 
 class TestScaledAt:
