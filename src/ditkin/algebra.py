@@ -375,8 +375,10 @@ class EventuallyConstant(Element):
         """c times the numerator on each run of `ends`, a refinement of the
         run ends, and then c times the tail numerator."""
         vals = self.nums + (self.tail_num,)
-        if len(ends) > len(self.ends):  # ends splits some run: count the own ends before each end, not bisect
-            vals = list(map(vals.__getitem__, accumulate(map(set(self.ends).__contains__, ends), initial=0)))
+        if len(ends) > len(self.ends):  # ends splits some run: count the own ends before each end, not bisect,
+            cut = bisect.bisect_right(ends, self.ends[-1]) if self.ends else 0  # but only up to the last own end:
+            counts = accumulate(map(set(self.ends).__contains__, islice(ends, cut)), initial=0)
+            vals = [*map(vals.__getitem__, counts), *repeat(self.tail_num, len(ends) - cut)]  # past it, the tail
         return vals if c == 1 else [c * x for x in vals]
 
     @functools.cached_property
@@ -600,13 +602,18 @@ def element_from_obj(obj: object, path: str = "element") -> Element:
             if not isinstance(values, list):
                 raise SchemaError(f"{path}.prefix: expected a list")
             ends, field = range(1, len(values) + 1), (f"{path}.prefix[", "]")
+        # strings alone are keys: 1, True and 1.0 are equal keys but not equal values here
+        keys = dict.fromkeys(values) if set(map(type, values)) <= {str} else values
         try:
-            ratios = list(map(parse_ratio, values))
+            ratios = list(map(parse_ratio, keys))
         except SchemaError:  # name the field, field[0] + index + field[1], only once a value is rejected
             ratios = [parse_ratio(v, f"{field[0]}{i}{field[1]}") for i, v in enumerate(values)]
         tp, tq = parse_ratio(obj.get("tail", "0"), f"{path}.tail")
         den = math.lcm(tq, *{q for _, q in ratios})
-        return EventuallyConstant._of(den, ends, [p * (den // q) for p, q in ratios], tp * (den // tq))
+        nums = [p * (den // q) for p, q in ratios]
+        if len(keys) < len(values):  # some string repeats: each value reads its distinct string's numerator
+            nums = list(map(dict(zip(keys, nums)).__getitem__, values))
+        return EventuallyConstant._of(den, ends, nums, tp * (den // tq))
     if kind == "dyadic_decay":
         return DyadicDecay()
     raise SchemaError(

@@ -62,6 +62,12 @@ EQUIVALENT = {
         "g is a gcd with den >= 1, and dividing by g = 1 changes nothing",
     ("algebra.py", "EventuallyConstant._on", "if len(ends) {> -> >=} len(self.ends):"):
         "ends refines self.ends, so equal lengths mean equal ends, and the lookup returns the same values",
+    ("algebra.py", "EventuallyConstant._on",
+     "vals = [*map(vals.__getitem__, counts), *repeat(self.tail_num, len(ends) {- -> +} cut)]"):
+        "the extra entries repeat the tail: map in _pointwise stops at the shorter operand, and where both "
+        "run long their extra results equal the result's tail, which _set drops",
+    ("algebra.py", "element_from_obj", "if len(keys) {< -> <=} len(values):"):
+        "with as many keys as values the keys are the values in order, so the lookup returns the same numerators",
     ("algebra.py", "RuleBased.tail_sup", "i = min(end, -(-(start {- -> +} 1) // _BLOCK) * _BLOCK)"):
         "i moves to a later block boundary or to end: whole blocks pass from the block maxima to the "
         "head slice, and the window [start, end] and its max stay the same",

@@ -36,7 +36,9 @@ from ditkin import (
     residual_norm,
 )
 
+from ditkin import algebra
 from ditkin.algebra import _BLOCK, MAX_RUNS, closed_set_from_obj, dyadic_jump_tail, parse_point
+from ditkin.weights import parse_ratio, parse_rational
 
 from _support import exact_elements, small_fractions, weight_families
 
@@ -621,6 +623,34 @@ class TestSerialization:
         runs = element_from_obj({"kind": "eventually_constant", "runs": [[v, 2] for v in prefix], "tail": tail})
         assert runs == EventuallyConstant.from_runs([(Fraction(str(v).strip()), 2) for v in prefix], Fraction(tail.strip()))
 
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(st.sampled_from(["1/2", "2/4", " 1/2", "1/2 ", "-3/6", "0", "+0/5", "7", "14/2", 1, 0, 7]), max_size=12),
+        st.sampled_from(["0", "1/2", "-7", " 2/4"]),
+    )
+    def test_distinct_value_parse_matches_one_by_one(self, prefix, tail):
+        # all-string documents parse each distinct string once; spellings of one rational stay distinct keys
+        one_by_one = [(parse_rational(v), 1) for v in prefix]
+        f = element_from_obj({"kind": "eventually_constant", "prefix": prefix, "tail": tail})
+        assert f == EventuallyConstant.from_runs(one_by_one, parse_rational(tail))
+        runs = element_from_obj({"kind": "eventually_constant", "runs": [[v, 3] for v in prefix], "tail": tail})
+        assert runs == EventuallyConstant.from_runs([(v, 3) for v, _ in one_by_one], parse_rational(tail))
+
+    @pytest.mark.parametrize(
+        "values, calls",
+        [(["1/2", "-3", "2/4"] * 666 + ["1/2", "-3"], 3 + 1), ([1, "1/2", "2/4"] * 666 + [1, 1], 2000 + 1)],
+        ids=["three_distinct_strings", "mixed_types"],
+    )
+    def test_parse_calls(self, monkeypatch, values, calls):
+        # one parse per distinct string, plus the tail; any other value type is parsed one by one
+        seen = []
+        monkeypatch.setattr(algebra, "parse_ratio", lambda v, *path: seen.append(v) or parse_ratio(v, *path))
+        for obj in ({"prefix": values}, {"runs": [[v, 1] for v in values]}):
+            seen.clear()
+            f = element_from_obj({"kind": "eventually_constant", **obj})
+            assert len(values) == 2000 and len(seen) == calls
+            assert f == EventuallyConstant.from_runs([(parse_rational(v), 1) for v in values])
+
     @pytest.mark.parametrize(
         "value, message",
         [
@@ -672,11 +702,26 @@ class TestSerialization:
             ({"kind": "eventually_constant", "runs": [["1", "3"]]}, "element.runs[0]: expected a [value, length] pair"),
             ({"kind": "eventually_constant", "runs": [["1", 1.5]]}, "element.runs[0]: expected a [value, length] pair"),
             ({"kind": "eventually_constant", "runs": [["0.5", 1]]}, "element.runs[0][0]: not a rational"),
+            # a value rejected after an equal one of another type, an unhashable value, a repeated
+            # string: each is named by its first index, whether or not the strings are parsed once
+            ({"kind": "eventually_constant", "prefix": [1, True]}, "element.prefix[1]: expected an exact rational such as"),
+            ({"kind": "eventually_constant", "prefix": [1, 1.0]}, "element.prefix[1]: expected an exact rational such as"),
+            ({"kind": "eventually_constant", "prefix": ["1", [1]]}, "element.prefix[1]: expected an exact rational, got list"),
+            ({"kind": "eventually_constant", "prefix": ["x", "1", "x"]}, "element.prefix[0]: not a rational 'p/q' string: 'x'"),
+            ({"kind": "eventually_constant", "prefix": ["1/2", "1/0"]}, "element.prefix[1]: not a rational 'p/q' string"),
+            ({"kind": "eventually_constant", "runs": [[1, 2], [True, 1]]}, "element.runs[1][0]: expected an exact rational such"),
+            ({"kind": "eventually_constant", "runs": [[1, 2], [1.0, 1]]}, "element.runs[1][0]: expected an exact rational such"),
+            ({"kind": "eventually_constant", "runs": [["1", 2], [[1], 1]]}, "element.runs[1][0]: expected an exact rational, got"),
+            ({"kind": "eventually_constant", "runs": [["x", 1], ["1", 1], ["x", 2]]}, "element.runs[0][0]: not a rational"),
+            ({"kind": "eventually_constant", "runs": [["1/2", 1], ["1/0", 2]]}, "element.runs[1][0]: not a rational 'p/q'"),
         ],
         ids=[
             "not_object", "prefix_not_list", "long_kind", "prefix_and_runs", "too_many_runs",
             "runs_not_list", "run_not_pair", "zero_length", "bool_length", "string_length",
             "float_length", "decimal_value",
+            "prefix_bool_after_int", "prefix_float_after_int", "prefix_unhashable", "prefix_repeated_bad_string",
+            "prefix_zero_denominator", "runs_bool_after_int", "runs_float_after_int", "runs_unhashable",
+            "runs_repeated_bad_string", "runs_zero_denominator",
         ],
     )
     def test_element_rejections(self, obj, needle):

@@ -14,6 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ditkin import (
+    ONE,
+    ZERO,
     Constant,
     EventuallyConstant,
     Interleave,
@@ -53,6 +55,14 @@ def values(f: EventuallyConstant, length: int) -> list[Fraction]:
 def assert_canonical(f: EventuallyConstant) -> None:
     vals = [v for v, _ in f.runs] + [f.tail]
     assert all(a != b for a, b in zip(vals, vals[1:]))
+
+
+def stairs(ends: list[int], c: Fraction, tail: Fraction = Fraction(0)) -> tuple:
+    """(runs, tail) with the values c, 2c, ... ending at `ends`, c > 0 and the tail
+    0 or negative: each value differs from its neighbours, so the ends stay as given."""
+    raw = (tuple((c * (i + 1), e - s) for i, (s, e) in enumerate(zip([0] + ends, ends))), tail)
+    assert EventuallyConstant.from_runs(*raw).ends == tuple(ends)
+    return raw
 
 
 def model_variation(w, vals: list[Fraction], start: int) -> Fraction:
@@ -114,8 +124,9 @@ class TestAgainstModel:
 
 
 class TestRunLayouts:
-    """Arithmetic reads each operand on the merged run ends, and skips the merge when
-    the operands share their ends; every layout must agree with the model."""
+    """Arithmetic reads each operand on the merged run ends, the tail past its own last
+    end, and skips the merge when the operands share their ends; every layout must
+    agree with the model."""
 
     @settings(deadline=None, max_examples=100)
     @given(raw_runs(), st.integers(1, 30))
@@ -141,13 +152,52 @@ class TestRunLayouts:
         f = EventuallyConstant.from_runs(*rf)
         assume(f.ends)
         kept = sorted(data.draw(st.lists(st.sampled_from(f.ends), unique=True, max_size=len(f.ends) - 1)))
-        c = data.draw(positive_fractions)
-        # the values c, 2c, ... and the tail 0 differ from their neighbours: the ends stay as drawn
-        coarse = (tuple((c * (i + 1), e - s) for i, (s, e) in enumerate(zip([0] + kept, kept))), Fraction(0))
-        assert EventuallyConstant.from_runs(*coarse).ends == tuple(kept)
+        coarse = stairs(kept, data.draw(positive_fractions))
         assert set(kept) < set(f.ends)
         assert_arithmetic(rf, coarse)
         assert_arithmetic(coarse, rf)
+
+    @settings(deadline=None, max_examples=100)
+    @given(raw_runs(), st.data())
+    def test_one_operand_ends_before_the_others_last_end(self, rf, data):
+        f, n = EventuallyConstant.from_runs(*rf), span(rf)
+        assume(f.ends and f.ends[-1] > 1)
+        k = data.draw(st.integers(1, f.ends[-1] - 1))
+        indicator, fv = (((Fraction(1), k),), Fraction(0)), expand(*rf, n)
+        assert_arithmetic(rf, indicator)
+        assert_arithmetic(indicator, rf)
+        e = prefix_indicator(k)
+        assert values(e * f, n) == fv[:k] + [0] * (n - k) and (e * f).tail == 0
+        assert values(f - e * f, n) == [0] * k + fv[k:] and (f - e * f).tail == rf[1]
+        # several runs, all ending before f's last end, and a tail of their own
+        early = sorted(data.draw(st.lists(st.integers(1, f.ends[-1] - 1), min_size=1, max_size=6, unique=True)))
+        c = data.draw(positive_fractions)
+        g = stairs(early, c, -c)
+        assert_arithmetic(rf, g)
+        assert_arithmetic(g, rf)
+
+    @pytest.mark.parametrize(
+        "const", [ZERO, ONE, EventuallyConstant((), Fraction(7, 3))], ids=["ZERO", "ONE", "seven_thirds"]
+    )
+    @settings(deadline=None, max_examples=50)
+    @given(rf=raw_runs())
+    def test_one_operand_is_a_constant(self, const, rf):
+        # no run ends: every merged end reads the tail
+        assert const.ends == ()
+        assert_arithmetic((const.runs, const.tail), rf)
+        assert_arithmetic(rf, (const.runs, const.tail))
+
+    @settings(deadline=None, max_examples=100)
+    @given(raw_runs(), st.data())
+    def test_operands_whose_last_ends_coincide(self, rf, data):
+        f = EventuallyConstant.from_runs(*rf)
+        assume(f.ends)
+        last = f.ends[-1]
+        ends = sorted(set(data.draw(st.lists(st.integers(1, last), max_size=6))) | {last})
+        c = data.draw(positive_fractions)
+        g = stairs(ends, c, -c)
+        assert_arithmetic(rf, g)
+        assert_arithmetic(g, rf)
 
     @settings(deadline=None, max_examples=30)
     @given(*[st.tuples(st.lists(st.tuples(VALUES, st.integers(1, 6)), min_size=20, max_size=40), VALUES)] * 2)
