@@ -28,6 +28,7 @@ from .errors import (
 from .weights import (
     Constant,
     WeightFamily,
+    _checked,
     dyadic_jump_tail,
     echo,
     format_rational,
@@ -166,10 +167,7 @@ def closed_set_from_obj(obj: object, path: str = "excluded") -> ClosedSet:
     with_infinity = obj.get("with_infinity", False)
     if not isinstance(with_infinity, bool):
         raise SchemaError(f"{path}.with_infinity: expected true or false")
-    try:
-        return ClosedSet(tuple(pts), with_infinity)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return _checked(ClosedSet, (tuple(pts), with_infinity), path)
 
 
 @frozen
@@ -474,10 +472,9 @@ class RuleBased(Element):
         self._value_at = value_at
         self.limit = rational(limit)
         self._tail_bound = tail_variation_bound
-        # memo grown to the largest index scanned: f(1..m), which at() returns, their signed numerators
-        # and denominators, max |f| = |p|/q as (|p|, q) per full block of _BLOCK indices and, per family,
+        # memo grown to the largest index scanned: the signed numerators and denominators of f(1..m),
+        # max |f| = |p|/q as (|p|, q) per full block of _BLOCK indices and, per family,
         # S[i] = sum_{j<=i} alpha_j * |f(j+1) - f(j)|; sups cross-multiply, sums add only nonzero jumps
-        self._values: list[Fraction] = []
         self._nums: list[int] = []
         self._dens: list[int] = []
         self._blocks: list[tuple[int, int]] = []
@@ -488,15 +485,14 @@ class RuleBased(Element):
             )
 
     def _at(self, n: int) -> Fraction:
-        if n <= len(self._values):
-            return self._values[n - 1]
+        if n <= len(self._nums):
+            return Fraction(self._nums[n - 1], self._dens[n - 1])
         return rational(self._value_at(n), "value_at(n)")
 
     def _scan_to(self, m: int) -> None:
-        values, nums, dens = self._values, self._nums, self._dens
-        for n in range(len(values) + 1, m + 1):
+        nums, dens = self._nums, self._dens
+        for n in range(len(nums) + 1, m + 1):
             v = rational(self._value_at(n), "value_at(n)")
-            values.append(v)
             nums.append(v.numerator)
             dens.append(v.denominator)
             if n % _BLOCK == 0:
@@ -521,12 +517,13 @@ class RuleBased(Element):
         self._scan_to(end + 1)
         # keyed by id(w), which the entry keeps alive: hashing a family walks its tree
         _, sums = self._sums.setdefault(id(w), (w, [Fraction(0)]))
-        v, nums, dens, n = self._values, self._nums, self._dens, len(sums)
+        nums, dens, n = self._nums, self._dens, len(sums)
         # the jumps j in [n, end] with f(j + 1) != f(j): its numerator or its denominator moves
         moved = map(operator.ne, zip(nums[n - 1 : end], dens[n - 1 : end]), zip(nums[n : end + 1], dens[n : end + 1]))
         for j in compress(range(n, end + 1), moved):
             sums.extend(repeat(sums[-1], j - len(sums)))  # zero jumps repeat the last sum
-            sums.append(sums[-1] + w.at(j) * abs(v[j] - v[j - 1]))
+            p0, q0, p1, q1 = nums[j - 1], dens[j - 1], nums[j], dens[j]
+            sums.append(sums[-1] + w.at(j) * Fraction(abs(p1 * q0 - p0 * q1), q1 * q0))
         sums.extend(repeat(sums[-1], end + 1 - len(sums)))
         lo = sums[end] - sums[start - 1]
         return NormResult(lo, lo + self.tail_bound(end + 1, w), horizon)

@@ -249,7 +249,9 @@ class WeightFamily:
     """Base class of the weight grammar; concrete families below.  Only this
     module reads a normal form: every index search is a method here.  Each
     family caches its integer leaf form (`_leaves`) and classification per
-    object, in the instance dict, so they take no part in __eq__ or __hash__."""
+    object, in the instance dict, so they take no part in __eq__ or __hash__.
+    Each declares its JSON form once, its `tag` and `fields` (key -> Fraction, WeightFamily,
+    or [either] for a list), which weight_family_from_obj reads and to_obj writes."""
 
     def at(self, n: int) -> Fraction:
         """Exact value of alpha_n for an integer n >= 1; the one check of an index."""
@@ -269,7 +271,8 @@ class WeightFamily:
         return LeafForm(1, den, (), (leaf,))
 
     def to_obj(self) -> dict:
-        raise NotImplementedError
+        """The JSON form that weight_family_from_obj reads: the tag, then each declared field in order."""
+        return {"family": self.tag, **{key: _write(getattr(self, key)) for key in self.fields}}
 
     def _hits(self, at_or_after: int, t: Fraction, op) -> Iterator[int]:
         """Every n >= at_or_after with op(alpha_n, t), in increasing order, for op one
@@ -461,6 +464,7 @@ def dyadic_jump_tail(w: WeightFamily, start: int) -> Fraction:
 @frozen
 class Constant(WeightFamily):
     value: Fraction
+    tag, fields = "constant", {"value": Fraction}
 
     def __init__(self, value):
         v = rational(value)
@@ -475,9 +479,6 @@ class Constant(WeightFamily):
     def _arm(self) -> tuple[Fraction, Fraction]:
         return self.value, _ZERO
 
-    def to_obj(self) -> dict:
-        return {"family": "constant", "value": format_rational(self.value)}
-
 
 @frozen
 class Linear(WeightFamily):
@@ -485,6 +486,7 @@ class Linear(WeightFamily):
 
     offset: Fraction
     slope: Fraction
+    tag, fields = "linear", {"offset": Fraction, "slope": Fraction}
 
     def __init__(self, offset, slope):
         a, b = rational(offset), rational(slope)
@@ -500,19 +502,13 @@ class Linear(WeightFamily):
     def _arm(self) -> tuple[Fraction, Fraction]:
         return self.offset, self.slope
 
-    def to_obj(self) -> dict:
-        return {
-            "family": "linear",
-            "offset": format_rational(self.offset),
-            "slope": format_rational(self.slope),
-        }
-
 
 @frozen
 class Interleave(WeightFamily):
     """alpha_n = parts[n % modulus] evaluated at n (global index, not sub-index)."""
 
     parts: tuple[WeightFamily, ...]
+    tag, fields = "interleave", {"parts": [WeightFamily]}
 
     def __init__(self, parts):
         parts = tuple(parts)
@@ -572,11 +568,7 @@ class Interleave(WeightFamily):
         return LeafForm(start, den, tuple(head), tuple(leaves))
 
     def to_obj(self) -> dict:
-        return {
-            "family": "interleave",
-            "modulus": self.modulus,
-            "parts": [p.to_obj() for p in self.parts],
-        }
+        return {"family": self.tag, "modulus": self.modulus} | super().to_obj()
 
 
 @frozen
@@ -585,6 +577,7 @@ class PrefixOverride(WeightFamily):
 
     prefix: tuple[Fraction, ...]
     tail: WeightFamily
+    tag, fields = "prefix", {"prefix": [Fraction], "tail": WeightFamily}
 
     def __init__(self, prefix, tail):
         pre = tuple(map(rational, prefix))
@@ -611,63 +604,57 @@ class PrefixOverride(WeightFamily):
         leaves = tuple((r, m, a * c, b * c) for r, m, a, b in form.leaves)
         return LeafForm(max(form.start, k + 1), den, tuple(head), leaves)
 
-    def to_obj(self) -> dict:
-        return {
-            "family": "prefix",
-            "prefix": [format_rational(v) for v in self.prefix],
-            "tail": self.tail.to_obj(),
-        }
+
+_FAMILIES = {cls.tag: cls for cls in (Constant, Linear, Interleave, PrefixOverride)}
+_EXPECTED = "{}, or {}".format(", ".join([*_FAMILIES][:-1]), [*_FAMILIES][-1])
 
 
 def weight_family_from_obj(obj: object, path: str = "weights", depth: int = 0) -> WeightFamily:
-    """Parse a weight family from its JSON object form, with field-level errors."""
+    """Parse a weight family from its JSON object form, with field-level errors: the tag
+    names the class, and the class's declared fields are read in order."""
     if depth > MAX_FAMILY_DEPTH:
         raise SchemaError(f"{path}: weight family nested deeper than {MAX_FAMILY_DEPTH} levels")
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object, got {type(obj).__name__}")
     tag = obj.get("family")
-    if tag == "constant":
-        value = parse_rational(_require(obj, "value", path), f"{path}.value")
-        return _checked(Constant, (value,), path)
-    if tag == "linear":
-        a = parse_rational(_require(obj, "offset", path), f"{path}.offset")
-        b = parse_rational(_require(obj, "slope", path), f"{path}.slope")
-        return _checked(Linear, (a, b), path)
-    if tag == "interleave":
-        parts_obj = _require(obj, "parts", path)
-        if not isinstance(parts_obj, list):
-            raise SchemaError(f"{path}.parts: expected a list")
-        parts = tuple(
-            weight_family_from_obj(p, f"{path}.parts[{i}]", depth + 1)
-            for i, p in enumerate(parts_obj)
-        )
-        if "modulus" in obj and obj["modulus"] != len(parts):
-            raise SchemaError(
-                f"{path}.modulus: {echo(obj['modulus'])} does not match {len(parts)} parts"
-            )
-        return _checked(Interleave, (parts,), path)
-    if tag == "prefix":
-        pre_obj = _require(obj, "prefix", path)
-        if not isinstance(pre_obj, list):
-            raise SchemaError(f"{path}.prefix: expected a list")
+    cls = _FAMILIES.get(tag) if isinstance(tag, str) else None  # a list or dict tag is unhashable
+    if cls is None:
+        raise SchemaError(f"{path}.family: unknown tag {echo(tag)} (expected {_EXPECTED})")
+    args = []
+    for key, kind in cls.fields.items():
+        if key not in obj:
+            raise SchemaError(f"{path}.{key}: missing required field")
+        args.append(_read(kind, obj[key], f"{path}.{key}", depth))
+    if cls is Interleave and "modulus" in obj and obj["modulus"] != len(args[0]):  # written by to_obj, not a field
+        raise SchemaError(f"{path}.modulus: {echo(obj['modulus'])} does not match {len(args[0])} parts")
+    return _checked(cls, args, path)
+
+
+def _read(kind, value: object, path: str, depth: int):
+    """A declared field's value of one kind: Fraction, WeightFamily, or a list of either."""
+    if kind is Fraction:
+        return parse_rational(value, path)
+    if kind is WeightFamily:
+        return weight_family_from_obj(value, path, depth + 1)
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}: expected a list")
+    if kind == [Fraction]:
         try:
-            pre = tuple(map(parse_rational, pre_obj))
-        except SchemaError:  # name the field only once a value is rejected
-            pre = tuple(parse_rational(v, f"{path}.prefix[{i}]") for i, v in enumerate(pre_obj))
-        tail = weight_family_from_obj(_require(obj, "tail", path), f"{path}.tail", depth + 1)
-        return _checked(PrefixOverride, (pre, tail), path)
-    raise SchemaError(
-        f"{path}.family: unknown tag {echo(tag)} (expected constant, linear, interleave, or prefix)"
-    )
+            return tuple(map(parse_rational, value))
+        except SchemaError:  # name the item only once a value is rejected
+            pass
+    return tuple(_read(kind[0], v, f"{path}[{i}]", depth) for i, v in enumerate(value))
 
 
-def _require(obj: dict, key: str, path: str) -> object:
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}: missing required field")
-    return obj[key]
+def _write(value):
+    """The JSON form of a declared field's value, which _read reads back."""
+    if isinstance(value, tuple):
+        return list(map(_write, value))
+    return value.to_obj() if isinstance(value, WeightFamily) else format_rational(value)
 
 
-def _checked(cls, args, path: str) -> WeightFamily:
+def _checked(cls, args, path: str):
+    """cls(*args), its ValueError as a SchemaError at path."""
     try:
         return cls(*args)
     except ValueError as exc:

@@ -714,6 +714,7 @@ class TestSerialization:
             ({"kind": "eventually_constant", "runs": [["1", 2], [[1], 1]]}, "element.runs[1][0]: expected an exact rational, got"),
             ({"kind": "eventually_constant", "runs": [["x", 1], ["1", 1], ["x", 2]]}, "element.runs[0][0]: not a rational"),
             ({"kind": "eventually_constant", "runs": [["1/2", 1], ["1/0", 2]]}, "element.runs[1][0]: not a rational 'p/q'"),
+            ({"kind": []}, "element.kind: unknown tag [] (expected eventually_constant or dyadic_decay)"),
         ],
         ids=[
             "not_object", "prefix_not_list", "long_kind", "prefix_and_runs", "too_many_runs",
@@ -721,7 +722,7 @@ class TestSerialization:
             "float_length", "decimal_value",
             "prefix_bool_after_int", "prefix_float_after_int", "prefix_unhashable", "prefix_repeated_bad_string",
             "prefix_zero_denominator", "runs_bool_after_int", "runs_float_after_int", "runs_unhashable",
-            "runs_repeated_bad_string", "runs_zero_denominator",
+            "runs_repeated_bad_string", "runs_zero_denominator", "list_kind",
         ],
     )
     def test_element_rejections(self, obj, needle):

@@ -26,6 +26,8 @@ from ditkin import Constant, DyadicDecay, Interleave, Linear, PrefixOverride, dy
 from ditkin.classifier import REPRO_CHECKS, repro_checks
 from ditkin.cli import COMMANDS, main
 
+import differential
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
 
@@ -136,6 +138,12 @@ class TestReproChecks:
         for check in (residual, norm):
             (failure,) = check["failures"]
             assert failure["at"] == "evaluation" and "diverges" in failure["error"]
+
+
+def test_differential_digest():
+    """The digest that tests/differential.py prints over 600 seeded families.  A change that alters
+    any result changes it: such a change updates the pin and says why."""
+    assert differential.digest() == ("8e180af41e4bbddc6ea753a465252dbb2082f2866dbeb6225069c5bc2e68979c", 3808918)
 
 
 def _regenerate() -> None:

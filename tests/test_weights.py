@@ -7,6 +7,7 @@ TestLeafForm compares every query read from the leaf form with the dense
 eventual-form oracles in _support.
 """
 
+import json
 import time
 from fractions import Fraction
 from itertools import islice
@@ -16,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ditkin import (
+    ClosedSet,
     Constant,
     DivergentVariationError,
     Interleave,
@@ -24,9 +26,11 @@ from ditkin import (
     SchemaError,
     dyadic_counterexample,
     property_report,
+    relative_unit_witness,
     select_ai_subsequence,
     weight_family_from_obj,
 )
+from ditkin.algebra import ONE
 from ditkin.weights import MAX_ARMS, MAX_FAMILY_DEPTH, dyadic_jump_tail, echo, eventual_form
 
 from _support import (
@@ -89,6 +93,11 @@ class TestEvaluation:
             Interleave((Constant(1),))
         with pytest.raises(ValueError):
             PrefixOverride((Fraction(0),), Constant(1))
+
+    @pytest.mark.parametrize("offset, slope", [(-1, 1), (1, -1), (-1, 0)])
+    def test_linear_terms_must_be_nonnegative(self, offset, slope):
+        with pytest.raises(ValueError, match="^linear weights need offset >= 0, slope >= 0, not both zero$"):
+            Linear(offset, slope)
 
     def test_parts_must_be_families(self):
         with pytest.raises(ValueError, match="interleave parts must be weight families"):
@@ -221,6 +230,13 @@ class TestSerialization:
         )
         assert weight_family_from_obj(w.to_obj()) == w
 
+    def test_written_keys_in_order(self):
+        w = PrefixOverride((Fraction(3, 2),), Interleave((Linear(0, Fraction(1, 2)), Constant(1))))
+        assert json.dumps(w.to_obj()) == (
+            '{"family": "prefix", "prefix": ["3/2"], "tail": {"family": "interleave", "modulus": 2, "parts": '
+            '[{"family": "linear", "offset": "0", "slope": "1/2"}, {"family": "constant", "value": "1"}]}}'
+        )
+
     def test_odd_even_family_document(self):
         obj = {
             "family": "interleave",
@@ -256,8 +272,19 @@ class TestSerialization:
             ([1], "weights: expected an object, got list"),
             ({"family": "interleave", "parts": {"0": {}}}, "weights.parts: expected a list"),
             ({"family": "prefix", "prefix": "2", "tail": {"family": "constant", "value": "1"}}, "weights.prefix: expected a list"),
+            ({"family": "interleave", "parts": [1, 2]}, "weights.parts[0]: expected an object, got int"),
+            ({"family": []}, "weights.family: unknown tag [] (expected constant, linear, interleave, or prefix)"),
+            ({"family": {}}, "weights.family: unknown tag {} (expected constant, linear, interleave, or prefix)"),
+            ({}, "weights.family: unknown tag None (expected constant, linear, interleave, or prefix)"),
+            (
+                {"family": "linear", "offset": "-1", "slope": "1"},
+                "weights: linear weights need offset >= 0, slope >= 0, not both zero",
+            ),
         ],
-        ids=["not_object", "parts_not_list", "prefix_not_list"],
+        ids=[
+            "not_object", "parts_not_list", "prefix_not_list", "rational_parts",
+            "list_tag", "dict_tag", "no_tag", "negative_offset",
+        ],
     )
     def test_shape_rejections(self, obj, message):
         with pytest.raises(SchemaError) as exc:
@@ -356,6 +383,16 @@ class TestArmCap:
         for p in (17, 13, 11, 7, 5, 3, 2):  # part 0 nests through all the counts
             w = Interleave((w,) + (Constant(2),) * (p - 1))
         with pytest.raises(SchemaError, match=r"modulus 85085, over the cap of 65536"):
+            w.classify()
+
+    def test_leaf_form_is_built_on_first_use(self):
+        """Parsing and the queries that read values alone do not build the leaf form, so a family
+        over the leaf cap still answers them.  A later change may build it at parse time on purpose."""
+        w = weight_family_from_obj(Interleave((_constants(256),) + (Constant(1),) * 256).to_obj())
+        assert w.at(3) == 1
+        assert relative_unit_witness(w, 3, ClosedSet()).norm == 3
+        assert ONE.norm(w).value == 1
+        with pytest.raises(SchemaError, match=r"^interleave: a leaf would need modulus 65792, over the cap of 65536$"):
             w.classify()
 
 
