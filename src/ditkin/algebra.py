@@ -34,6 +34,7 @@ from .weights import (
     format_rational,
     frozen,
     natural,
+    of_type,
     parse_ratio,
     rational,
 )
@@ -240,7 +241,7 @@ class Element:
         return self.tail_sup(1, horizon, horizon)
 
     def weighted_variation(self, w: WeightFamily, horizon: int = DEFAULT_HORIZON) -> NormResult:
-        return self.tail_variation(w, 1, horizon, horizon)
+        return self.tail_variation(of_type(w, WeightFamily, "weights"), 1, horizon, horizon)
 
     def norm(self, w: WeightFamily, horizon: int = DEFAULT_HORIZON) -> NormResult:
         return self.sup_norm(horizon) + self.weighted_variation(w, horizon)
@@ -249,7 +250,7 @@ class Element:
         """Whether f lies in the ideal: f vanishes at every point of the zero
         set, ∞ included (limit 0).  A neighbourhood of ∞ is cofinite, so the
         J-condition there also asks for an eventually-zero f (a support)."""
-        zs = spec.zero_set
+        zs = of_type(spec, IdealSpec, "ideal spec").zero_set
         if any(self.at(p) != 0 for p in zs.points):
             return False
         if not zs.with_infinity:
@@ -360,30 +361,36 @@ class EventuallyConstant(Element):
     def _pointwise(self, other, op) -> "EventuallyConstant":
         if not isinstance(other, EventuallyConstant):
             return super()._pointwise(other, op)
-        if op is operator.mul:
+        if op is operator.mul:  # zero past the least support s of the factors: each operand stops at the run holding s
             den, a, b = self.den * other.den, 1, 1
+            s = min((x for x in (self.support, other.support) if x is not None), default=None)
         else:
-            den = math.lcm(self.den, other.den)
+            den, s = math.lcm(self.den, other.den), None
             a, b = den // self.den, den // other.den
-        ends = self.ends if self.ends == other.ends else sorted(set(self.ends).union(other.ends))
+        ends, theirs = (e if s is None else e[: bisect.bisect_left(e, s) + 1] for e in (self.ends, other.ends))
+        ends = ends if ends == theirs else sorted(set(ends).union(theirs))
         vals = list(map(op, self._on(ends, a), other._on(ends, b)))
         return self._of(den, ends, vals[:-1], vals[-1])
 
     def _on(self, ends: Sequence[int], c: int) -> Sequence[int]:
-        """c times the numerator on each run of `ends`, a refinement of the
-        run ends, and then c times the tail numerator."""
-        vals = self.nums + (self.tail_num,)
-        if len(ends) > len(self.ends):  # ends splits some run: count the own ends before each end, not bisect,
-            cut = bisect.bisect_right(ends, self.ends[-1]) if self.ends else 0  # but only up to the last own end:
-            counts = accumulate(map(set(self.ends).__contains__, islice(ends, cut)), initial=0)
+        """c times the numerator on each run of `ends`, and then c times the numerator past its last
+        end: `ends` refines a leading part of the run ends, or all of them and goes on past the last."""
+        m = bisect.bisect_right(self.ends, ends[-1]) if ends else 0  # the own ends up to the last of ends
+        vals = self.nums[: m + 1] if m < len(self.nums) else self.nums + (self.tail_num,)
+        if len(ends) > m:  # ends splits a run or goes past the own ends: count the own ends before each end,
+            cut = bisect.bisect_right(ends, self.ends[-1]) if self.ends else 0  # not bisect, and only up to the last:
+            counts = accumulate(map(set(self.ends[:m]).__contains__, islice(ends, cut)), initial=0)
             vals = [*map(vals.__getitem__, counts), *repeat(self.tail_num, len(ends) - cut)]  # past it, the tail
         return vals if c == 1 else [c * x for x in vals]
 
     @functools.cached_property
-    def _sups(self) -> list[int]:
-        # _sups[i] = max |numerator| from run i on, the tail included, built on the first
-        # start past run 0.  Cached in the instance dict, it takes no part in ==, hash or repr.
-        return list(accumulate(map(abs, reversed(self.nums)), max, initial=abs(self.tail_num)))[::-1]
+    def _sup(self) -> int:  # max |numerator|, the tail included; in the instance dict, out of ==, hash and repr
+        return max(max(self.nums, default=0), -min(self.nums, default=0), abs(self.tail_num))
+
+    @functools.cached_property
+    def _sups(self) -> list[int]:  # _sups[b]: the same from block b of _BLOCK runs on, built on a start past run 0
+        blocks = (self.nums[k : k + _BLOCK] for k in range(0, len(self.nums), _BLOCK))  # one max and one min each
+        return list(accumulate(reversed([max(max(x), -min(x)) for x in blocks]), max, initial=abs(self.tail_num)))[::-1]
 
     @functools.cached_property
     def _sums(self) -> dict[int, tuple[WeightFamily, int, list[int]]]:
@@ -393,7 +400,9 @@ class EventuallyConstant(Element):
 
     def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
         i = bisect.bisect_left(self.ends, natural(start, "start must be >= 1"))  # the run holding start
-        return NormResult.exact(Fraction(self._sups[i] if i else max(map(abs, (*self.nums, self.tail_num))), self.den))
+        j = -(-i // _BLOCK)  # the first block at or past run i: the runs from i up to it are read one by one
+        sup = max([self._sups[j], *map(abs, self.nums[i : j * _BLOCK])]) if i else self._sup
+        return NormResult.exact(Fraction(sup, self.den))
 
     def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
         # every jump sits at a run end
@@ -569,7 +578,7 @@ def _check_window(start: int, end: int) -> None:
 
 
 _UNIT_WEIGHTS = Constant(Fraction(1))
-_BLOCK = 32  # indices per block maximum in the rule-based memo
+_BLOCK = 32  # indices per block maximum in the rule-based memo, and runs per block in the exact tier
 
 
 def element_to_obj(f: Element) -> dict:

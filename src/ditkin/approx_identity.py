@@ -26,7 +26,7 @@ from .algebra import (
     format_rational,
 )
 from .errors import HorizonExhausted, NotInMInfinityError
-from .weights import WeightFamily, frozen, natural, rational
+from .weights import WeightFamily, frozen, natural, of_type, rational
 
 DEFAULT_SELECTION_COUNT = 8
 MAX_SELECTION_COUNT = 1 << 16  # the CLI's budget on --count
@@ -109,7 +109,7 @@ def residual_norm(f: Element, w: WeightFamily, k: int, horizon: int = DEFAULT_HO
     for rule-based elements, which scan the window [k+1, k+h+1] and certify
     the tail from k+h+2 on.
     """
-    k = natural(k)
+    k, w = natural(k), of_type(w, WeightFamily, "weights")
     _require_vanishes_at_infinity(f)
     end = k + horizon + 1
     body = f.tail_sup(k + 1, end, horizon) + f.tail_variation(w, k + 1, end, horizon)
@@ -134,6 +134,7 @@ def residual_diagnostics(
 ) -> list[DiagnosticRow]:
     """Sample the residual and the two boundary quantities at given indices."""
     _require_vanishes_at_infinity(f)
+    w = of_type(w, WeightFamily, "weights")  # also when no index reaches residual_norm
     return [  # the residual first, so that f.at reads a rule-based f's memo
         DiagnosticRow(n, residual_norm(f, w, n, horizon), w.at(n) * abs(f.at(n + 1)), w.at(n) * abs(f.at(n)))
         for n in indices
@@ -146,7 +147,7 @@ def select_ai_subsequence(
     """The first count indices of `w.selected_indices(1, slack)`, an
     approximate identity for the ideal at ∞: kind running_min for divergent
     weights, else the norm-bounded kind bounded_bai."""
-    count = natural(count, "count must be >= 1")
+    count, w = natural(count, "count must be >= 1"), of_type(w, WeightFamily, "weights")
     indices = tuple(islice(w.selected_indices(1, slack), count))
     den, scaled = w.scaled_at(indices)
     norms = tuple(Fraction(den + v, den) for v in scaled)
@@ -174,7 +175,7 @@ def ditkin_approximation(
     subsequence at doubling thresholds until the residual's certified upper
     bound meets tol.
     """
-    tol = rational(tol, "tolerance")
+    tol, w = rational(tol, "tolerance"), of_type(w, WeightFamily, "weights")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     _require_vanishes_at_infinity(f)

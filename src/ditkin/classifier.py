@@ -41,6 +41,7 @@ from .weights import (
     WeightFamily,
     format_rational,
     frozen,
+    of_type,
 )
 
 # what each report field rests on; "established" fields hold for every family
@@ -111,7 +112,7 @@ class PropertyReport:
 
 
 def property_report(w: WeightFamily) -> PropertyReport:
-    cls = w.classify()
+    cls = of_type(w, WeightFamily, "weights").classify()
     return PropertyReport(
         cls,
         select_ai_subsequence(w, DEFAULT_SELECTION_COUNT) if cls.liminf_finite else None,
@@ -119,15 +120,9 @@ def property_report(w: WeightFamily) -> PropertyReport:
     )
 
 
-def _unboundedness_points(
-    w: WeightFamily, count: int
-) -> tuple[tuple[int, Fraction], ...]:
-    rows = []
-    for i in range(count):
-        threshold = Fraction(1 << i)
-        n = w.first_above(threshold)  # exists: w is unbounded
-        rows.append((n, w.at(n)))
-    return tuple(rows)
+def _unboundedness_points(w: WeightFamily, count: int) -> tuple[tuple[int, Fraction], ...]:
+    points = (w.first_above(Fraction(1 << i)) for i in range(count))  # each exists: w is unbounded
+    return tuple((n, w.at(n)) for n in points)
 
 
 @frozen
@@ -148,9 +143,7 @@ class RelativeUnitWitness:
         }
 
 
-def relative_unit_witness(
-    w: WeightFamily, point, excluded: ClosedSet
-) -> RelativeUnitWitness:
+def relative_unit_witness(w: WeightFamily, point, excluded: ClosedSet) -> RelativeUnitWitness:
     """A relative unit at `point` for the compact set `excluded`, with its
     exact norm.
 
@@ -160,6 +153,7 @@ def relative_unit_witness(
     ideal at x, whose norm is 1 + alpha_{x-1} + alpha_x (1 + alpha_1 when
     x = 1).
     """
+    w, excluded = of_type(w, WeightFamily, "weights"), of_type(excluded, ClosedSet, "excluded set")
     if point is INFINITY:
         if excluded.with_infinity:
             raise InvalidExcludedSet(
@@ -198,7 +192,7 @@ def unbounded_nondivergent_family(
     """Interleave a constant with a divergent family: unbounded weights whose
     liminf stays finite, so the algebra is strong Ditkin without a uniform
     relative-unit bound."""
-    if divergent_part.classify().liminf is not None:
+    if of_type(divergent_part, WeightFamily, "divergent part").classify().liminf is not None:
         raise NotDivergentError("the growing part must diverge to infinity")
     return Interleave((Constant(bounded_value), divergent_part))
 
@@ -245,7 +239,7 @@ def repro_checks(w: WeightFamily) -> list[dict]:
     with an "evaluation" entry, and the remaining checks still run.  A
     SchemaError (an input too large to handle) propagates.
     """
-    _, f = dyadic_counterexample()
+    w, f = of_type(w, WeightFamily, "weights"), dyadic_counterexample()[1]
     checks = []
     for name, items in REPRO_CHECKS:
         failures = []

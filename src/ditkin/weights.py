@@ -245,6 +245,13 @@ def natural(n, message: str = "index must be >= 1") -> int:
     return n
 
 
+def of_type(x, kind: type, name: str):
+    """x itself, for a weight family, ideal spec or closed set argument: TypeError for anything else."""
+    if not isinstance(x, kind):
+        raise TypeError(f"{name} must be of type {kind.__name__}, got {type(x).__name__}")
+    return x
+
+
 class WeightFamily:
     """Base class of the weight grammar; concrete families below.  Only this
     module reads a normal form: every index search is a method here.  Each

@@ -10,13 +10,16 @@ A site is one comparison or arithmetic operator in a module's syntax tree
 the source text, so every other line and column stays as it was.  Each
 mutant is written into a temporary copy of `src/` and `tests/`, and the
 named tests (default: all of `tests/`) run there under pytest with `-x`,
-the hypothesis seed `--seed` and a timeout.  A failing run or a timeout
-kills the mutant; a passing run means it survived, and no test checks the
-result that the operator decides.  A mutant listed in EQUIVALENT (by
-module, the code on its line and the swap) computes the same results as
-the original, so it is reported with its reason and not run; an entry of
-a named module that matches no site is stale (its code was rewritten), and
-the run lists it and exits 1 before running anything.  `--sample N` runs N
+the hypothesis seed `--seed` and a timeout: `--timeout` seconds, or by
+default ten times the wall time of the unmutated run and at least a
+minute, so a mutant that loops without end costs what ten test runs cost.
+A failing run or a timeout kills the mutant; a passing run means it
+survived, and no test checks the result that the operator decides.  A
+mutant listed in EQUIVALENT (by module, the code on its line and the swap)
+computes the same results as the original, so it is reported with its
+reason and not run; an entry of a named module that matches no site is
+stale (its code was rewritten), and the run lists it and exits 1 before
+running anything.  `--sample N` runs N
 sites drawn with `--seed` instead of all of them.  The run prints one line
 per site and a summary, and exits 1 when a mutant outside EQUIVALENT
 survives.  The file is not a test module: pytest does not collect it.
@@ -60,8 +63,9 @@ SYMBOLS = {
 EQUIVALENT = {
     ("algebra.py", "EventuallyConstant._set", "if g {> -> >=} 1:"):
         "g is a gcd with den >= 1, and dividing by g = 1 changes nothing",
-    ("algebra.py", "EventuallyConstant._on", "if len(ends) {> -> >=} len(self.ends):"):
-        "ends refines self.ends, so equal lengths mean equal ends, and the lookup returns the same values",
+    ("algebra.py", "EventuallyConstant._on", "if len(ends) {> -> >=} m:"):
+        "ends holds the m own ends up to its last end, so len(ends) == m means ends are those own ends, and "
+        "counting them gives each run its own numerator and then the one past, the same values",
     ("algebra.py", "EventuallyConstant._on",
      "vals = [*map(vals.__getitem__, counts), *repeat(self.tail_num, len(ends) {- -> +} cut)]"):
         "the extra entries repeat the tail: map in _pointwise stops at the shorter operand, and where both "
@@ -87,7 +91,8 @@ EQUIVALENT = {
         "head has start - 1 entries, so the slice stops there either way",
 }
 
-TIMEOUT_S = 300.0
+TIMEOUT_S = 300.0  # the unmutated run's timeout when --timeout is not given
+TIMEOUT_FACTOR, MIN_TIMEOUT_S = 10, 60.0  # the default per-mutant timeout, from the unmutated run's wall time
 MEMORY_LIMIT = 2 << 30  # address space of each test run, so a mutant that allocates without end fails alone
 
 
@@ -209,13 +214,20 @@ def run_tests(copy: Path, tests: list[str], seed: int, timeout: float) -> str:
     return "passed" if code == 0 else "failed"
 
 
+def default_timeout(unmutated_s: float) -> float:
+    """Seconds per mutant's test run when --timeout is not given, from the unmutated run's wall time."""
+    return max(MIN_TIMEOUT_S, TIMEOUT_FACTOR * unmutated_s)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+", type=Path, help="module files under src/ditkin")
     parser.add_argument("--tests", nargs="+", default=["tests"], help="test paths or node ids (default: tests)")
     parser.add_argument("--seed", type=int, default=0, help="hypothesis seed, and the draw of --sample")
     parser.add_argument("--sample", type=int, help="run this many sites, drawn with --seed")
-    parser.add_argument("--timeout", type=float, default=TIMEOUT_S, help="seconds per test run")
+    parser.add_argument(
+        "--timeout", type=float, help="seconds per test run (default: ten times the unmutated run, at least 60)"
+    )
     args = parser.parse_args(argv)
 
     paths = [path.resolve() for path in args.modules]
@@ -233,8 +245,12 @@ def main(argv: list[str] | None = None) -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", copy)
-        if run_tests(copy, args.tests, args.seed, args.timeout) != "passed":
+        began = time.monotonic()
+        if run_tests(copy, args.tests, args.seed, TIMEOUT_S if args.timeout is None else args.timeout) != "passed":
             raise SystemExit("the unmutated tests do not pass")
+        unmutated_s = time.monotonic() - began
+        timeout = default_timeout(unmutated_s) if args.timeout is None else args.timeout
+        print(f"unmutated run {unmutated_s:.1f} s, timeout per mutant {timeout:.0f} s", flush=True)
         for site in todo:
             if site.equivalent:
                 counts["equivalent"] += 1
@@ -246,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
             target.write_bytes(site.mutated)
             began = time.monotonic()
             try:
-                outcome = run_tests(copy, args.tests, args.seed, args.timeout)
+                outcome = run_tests(copy, args.tests, args.seed, timeout)
             finally:
                 target.write_bytes(original)
             verdict = "survived" if outcome == "passed" else "killed"

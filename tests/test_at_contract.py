@@ -12,7 +12,9 @@ length that the library takes follows the same rule, each site with its
 own message.  A search level or slack, and every other rational a caller
 passes in (a weight, an element value, a limit, a scale factor, a
 tolerance), is an exact int or `Fraction`; any other type, a float, a
-string or a `Decimal`, raises `TypeError`.
+string or a `Decimal`, raises `TypeError`.  A weight family, an ideal spec
+or a closed set is checked at the public entry that takes it: any other
+object raises `TypeError`, not an `AttributeError` from deep inside.
 """
 
 from decimal import Decimal
@@ -22,10 +24,13 @@ import pytest
 
 from ditkin import (
     INFINITY,
+    ONE,
+    ZERO,
     ClosedSet,
     Constant,
     DyadicDecay,
     EventuallyConstant,
+    IdealSpec,
     Interleave,
     Linear,
     NormResult,
@@ -33,8 +38,14 @@ from ditkin import (
     RuleBased,
     ditkin_approximation,
     prefix_indicator,
+    property_report,
+    relative_unit_witness,
+    repro_checks,
+    residual_diagnostics,
     residual_norm,
+    residual_oracle,
     select_ai_subsequence,
+    unbounded_nondivergent_family,
 )
 from ditkin.weights import dyadic_jump_tail
 
@@ -242,3 +253,62 @@ def test_exact_callback_value_is_accepted(name, x):
     f = CALLBACKS[name][0](x)
     assert f.at(3) == (x if name == "value_at" else F(1, 3))
     assert f.sup_norm(4).lo == (x if name == "value_at" else 1)
+
+
+# Every entry point that takes a weight family, an ideal spec or a closed set x,
+# with the name in its TypeError; each is given the right kind of object in
+# the accepted case.  ZERO has no jumps, so its norm would read no weight at all.
+VANISHING = EventuallyConstant((F(1), F(-2, 3), F(5)), F(0))
+STRUCTURED = {
+    "norm_exact": (lambda x: STEPS.norm(x), Constant(2), "weights must be of type WeightFamily"),
+    "norm_zero": (lambda x: ZERO.norm(x), Constant(2), "weights must be of type WeightFamily"),
+    "norm_dyadic": (lambda x: DyadicDecay().norm(x), Constant(2), "weights must be of type WeightFamily"),
+    "norm_rule_based": (lambda x: _rule_based().norm(x, 8), Constant(1), "weights must be of type WeightFamily"),
+    "weighted_variation": (lambda x: ONE.weighted_variation(x), Constant(2), "weights must be of type WeightFamily"),
+    "residual_norm": (lambda x: residual_norm(VANISHING, x, 2), Constant(2), "weights must be of type WeightFamily"),
+    "residual_oracle": (lambda x: residual_oracle(VANISHING, x, 2), Constant(2), "weights must be of type WeightFamily"),
+    "residual_diagnostics": (
+        lambda x: residual_diagnostics(VANISHING, x, [2]), Constant(2), "weights must be of type WeightFamily"
+    ),
+    "residual_diagnostics_no_index": (
+        lambda x: residual_diagnostics(VANISHING, x, []), Constant(2), "weights must be of type WeightFamily"
+    ),
+    "select_ai": (lambda x: select_ai_subsequence(x, 3), Constant(2), "weights must be of type WeightFamily"),
+    "ditkin_approximation": (
+        lambda x: ditkin_approximation(DyadicDecay(), x, F(1)), Constant(2), "weights must be of type WeightFamily"
+    ),
+    "property_report": (property_report, TWO_MODULI, "weights must be of type WeightFamily"),
+    "witness_weights": (
+        lambda x: relative_unit_witness(x, INFINITY, ClosedSet((2,))), Constant(2), "weights must be of type WeightFamily"
+    ),
+    "unbounded_nondivergent": (
+        lambda x: unbounded_nondivergent_family(x, 1), Linear(0, 1), "divergent part must be of type WeightFamily"
+    ),
+    "repro_checks": (repro_checks, Constant(1), "weights must be of type WeightFamily"),
+    "in_ideal": (STEPS.in_ideal, IdealSpec.m_at(INFINITY), "ideal spec must be of type IdealSpec"),
+    "in_ideal_dyadic": (DyadicDecay().in_ideal, IdealSpec.j_at(3), "ideal spec must be of type IdealSpec"),
+    "witness_excluded_at_infinity": (
+        lambda x: relative_unit_witness(Constant(2), INFINITY, x), ClosedSet((2,)), "excluded set must be of type ClosedSet"
+    ),
+    "witness_excluded_at_a_point": (
+        lambda x: relative_unit_witness(Constant(2), 3, x), ClosedSet((2,)), "excluded set must be of type ClosedSet"
+    ),
+}
+
+
+WRONG = {"int": 1, "str": "weights", "none": None, "closed_set": ClosedSet((2,)), "ideal_spec": IdealSpec.m_at(2)}
+
+
+@pytest.mark.parametrize(
+    "name, wrong", [(n, k) for n, (_, right, _) in STRUCTURED.items() for k, x in WRONG.items() if type(x) is not type(right)]
+)
+def test_wrong_structured_argument_raises_type_error(name, wrong):
+    call, _, message = STRUCTURED[name]
+    with pytest.raises(TypeError, match=f"^{message}, got {type(WRONG[wrong]).__name__}$"):
+        call(WRONG[wrong])
+
+
+@pytest.mark.parametrize("name", STRUCTURED)
+def test_structured_argument_is_accepted(name):
+    call, right, _ = STRUCTURED[name]
+    call(right)

@@ -215,6 +215,120 @@ class TestRunLayouts:
         assert f.tail_sup(1, 1, 0).value == want and f.sup_norm().value == want
 
 
+# both signs, and denominators 3 and 7 against VALUES' 1, 2, 3 and up to 20
+THIRDS = st.sampled_from([Fraction(-5, 3), Fraction(-1, 3), Fraction(0), Fraction(2, 3), Fraction(4)])
+SEVENTHS = st.sampled_from([Fraction(-9, 7), Fraction(-1, 7), Fraction(0), Fraction(3, 7), Fraction(-2)])
+
+
+def supported_at(data, s: int, values=VALUES) -> tuple:
+    """(runs, 0) with support exactly s: drawn runs up to s - 1, then a nonzero value at s."""
+    runs, left = [], s - 1
+    while left:
+        n = data.draw(st.integers(1, left))
+        runs.append((data.draw(values), n))
+        left -= n
+    return (*runs, (data.draw(values.filter(bool)), 1)), Fraction(0)
+
+
+def assert_product(rf, rg) -> None:
+    """f * g and g * f against the model, and a product's support within each factor's."""
+    assert_arithmetic(rf, rg)
+    assert_arithmetic(rg, rf)
+    f, g = EventuallyConstant.from_runs(*rf), EventuallyConstant.from_runs(*rg)
+    for h in (f * g, g * f):
+        assert h == f * g
+        for x in (f, g):
+            assert x.support is None or (h.support is not None and h.support <= x.support)
+
+
+class TestProductFollowsSupport:
+    """A product with a finitely supported factor reads each operand's runs only up to the
+    run that holds the least support, and its tail is zero; every placement of that support
+    against the other factor's runs must agree with the model."""
+
+    @pytest.mark.parametrize("where", ["inside_a_run", "at_a_run_end", "past_the_last_end"])
+    @settings(deadline=None, max_examples=100)
+    @given(rf=raw_runs(), data=st.data())
+    def test_support_against_the_other_factors_runs(self, where, rf, data):
+        f = EventuallyConstant.from_runs(*rf)
+        last = f.ends[-1] if f.ends else 0
+        if where == "past_the_last_end":
+            s = last + data.draw(st.integers(1, 4))
+        else:
+            places = [j for j in range(1, last + 1) if (j in f.ends) == (where == "at_a_run_end")]
+            assume(places)
+            s = data.draw(st.sampled_from(places))
+        rg = supported_at(data, s)
+        assert EventuallyConstant.from_runs(*rg).support == s
+        assert_product(rf, rg)
+
+    @settings(deadline=None, max_examples=100)
+    @given(raw_runs(tail=st.just(Fraction(0))), raw_runs(tail=st.just(Fraction(0))))
+    def test_both_factors_have_supports(self, rf, rg):
+        assert_product(rf, rg)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.tuples(st.lists(st.tuples(THIRDS, st.integers(1, 4)), max_size=8), THIRDS),
+        st.integers(1, 30),
+        st.data(),
+    )
+    def test_other_denominators_and_mixed_signs(self, rf, s, data):
+        assert_product(rf, supported_at(data, s, SEVENTHS))
+        assert_product(supported_at(data, s, THIRDS), (rf[0], Fraction(0)))
+
+    @settings(deadline=None, max_examples=50)
+    @given(raw_runs())
+    def test_a_zero_factor(self, rf):
+        f = EventuallyConstant.from_runs(*rf)
+        assert ZERO.support == 0
+        assert f * ZERO == ZERO and ZERO * f == ZERO
+        assert_product(rf, ((), Fraction(0)))
+
+    def test_a_prefix_indicator_passes_only_the_runs_up_to_its_support(self, monkeypatch):
+        # 65,536 runs of lengths 1, 2, 3, ...: the ends 1, 3, 6, 7, 9, 12, ...; the product needs
+        # the five ends below 10, 10 itself and the end 12 past it, whichever factor comes first
+        f = EventuallyConstant.from_runs(((k % 2 + 1, k % 3 + 1) for k in range(1 << 16)), 0)
+        assert len(f.ends) == 1 << 16
+        real, passed = EventuallyConstant._on, []
+
+        def spy(self, ends, c):
+            passed.append(list(ends))
+            return real(self, ends, c)
+
+        monkeypatch.setattr(EventuallyConstant, "_on", spy)
+        e = prefix_indicator(10)
+        for h in (e * f, f * e):
+            assert h.runs == ((1, 1), (2, 2), (1, 3), (2, 1), (1, 2), (2, 1)) and h.tail == 0
+        assert passed == [[1, 3, 6, 7, 9, 10, 12]] * 4
+
+
+class TestSupFromBlocks:
+    """The sup from run 0 is one cached integer; from a later run it is the rest of that
+    run's block of _BLOCK runs, read one by one, and the suffix maximum of the blocks after."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.tuples(THIRDS | SEVENTHS, st.integers(1, 3)), min_size=60, max_size=160), THIRDS)
+    def test_every_start_against_the_model(self, runs, tail):
+        f, vals = EventuallyConstant.from_runs(runs, tail), expand(runs, tail, span((runs, tail)))
+        for start in range(1, len(vals) + 2):
+            want = max(abs(v) for v in vals[start - 1 :] + [tail])
+            assert f.tail_sup(start, start, 0).value == want
+
+    @pytest.mark.parametrize("peak", [0, 1, 30, 31, 32, 33, 63, 64, 65, 128, 198, 199, 200])
+    def test_the_peak_in_every_block_position(self, peak):
+        # 200 runs of -1 and 2/3 in turn, tail 1/3, and one run of -5 at run `peak` (200: the tail)
+        runs = [(Fraction(-1) if i % 2 else Fraction(2, 3), 1) for i in range(200)]
+        tail = Fraction(-5) if peak == 200 else Fraction(1, 3)
+        if peak < 200:
+            runs[peak] = (Fraction(-5), 1)
+        f = EventuallyConstant.from_runs(runs, tail)
+        assert len(f.runs) == 200
+        for start in range(1, 203):
+            assert f.tail_sup(start, start, 0).value == (5 if start <= peak + 1 else 1 if start <= 200 else abs(tail))
+        assert f.sup_norm().value == 5 and vars(f)["_sup"] == 5 * f.den
+
+
 class TestScaledAt:
     @settings(deadline=None, max_examples=100)
     @given(weight_families())
