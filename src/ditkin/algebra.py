@@ -27,12 +27,14 @@ from .errors import (
 )
 from .weights import (
     Constant,
+    Record,
     WeightFamily,
     _checked,
     dyadic_jump_tail,
     echo,
     format_rational,
     frozen,
+    json_form,
     natural,
     of_type,
     parse_ratio,
@@ -78,7 +80,7 @@ def format_point(p: int | _Infinity) -> object:
 
 
 @frozen
-class NormResult:
+class NormResult(Record):
     """An exact rational norm value, or a certified interval [lo, hi].
 
     Exact results behave as the degenerate interval [v, v]; intervals record
@@ -88,6 +90,7 @@ class NormResult:
     lo: Fraction
     hi: Fraction
     horizon: int | None
+    fields = "lo", "hi", "horizon"  # an interval's JSON form; an exact result writes {"exact": value}
 
     def __init__(self, lo, hi, horizon=None):
         lo, hi = rational(lo), rational(hi)
@@ -123,13 +126,7 @@ class NormResult:
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}] (horizon {self.horizon})"
 
     def to_obj(self) -> dict:
-        if self.is_exact:
-            return {"exact": format_rational(self.lo)}
-        return {
-            "lo": format_rational(self.lo),
-            "hi": format_rational(self.hi),
-            "horizon": self.horizon,
-        }
+        return {"exact": format_rational(self.lo)} if self.is_exact else super().to_obj()
 
 
 @frozen
@@ -146,7 +143,7 @@ class ClosedSet:
     def __init__(self, points=(), with_infinity=False):
         pts = tuple(sorted({natural(p, "closed-set points must be naturals >= 1") for p in points}))
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "with_infinity", with_infinity)
+        object.__setattr__(self, "with_infinity", of_type(with_infinity, bool, "with_infinity"))
 
     def contains(self, p) -> bool:
         if p is INFINITY:
@@ -183,6 +180,10 @@ class IdealSpec:
 
     zero_set: ClosedSet
     neighbourhood: bool
+
+    def __init__(self, zero_set, neighbourhood):
+        object.__setattr__(self, "zero_set", of_type(zero_set, ClosedSet, "zero set"))
+        object.__setattr__(self, "neighbourhood", of_type(neighbourhood, bool, "neighbourhood"))
 
     @classmethod
     def m_at(cls, point) -> "IdealSpec":
@@ -238,10 +239,10 @@ class Element:
 
     # norms scan the window [1, h]
     def sup_norm(self, horizon: int = DEFAULT_HORIZON) -> NormResult:
-        return self.tail_sup(1, horizon, horizon)
+        return self.tail_sup(1, h := check_horizon(horizon), h)
 
     def weighted_variation(self, w: WeightFamily, horizon: int = DEFAULT_HORIZON) -> NormResult:
-        return self.tail_variation(of_type(w, WeightFamily, "weights"), 1, horizon, horizon)
+        return self.tail_variation(of_type(w, WeightFamily, "weights"), 1, h := check_horizon(horizon), h)
 
     def norm(self, w: WeightFamily, horizon: int = DEFAULT_HORIZON) -> NormResult:
         return self.sup_norm(horizon) + self.weighted_variation(w, horizon)
@@ -572,6 +573,11 @@ def _max_ratio(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return bp, bq
 
 
+def check_horizon(h) -> int:
+    """h as a scan horizon, the same on every tier: 0 is the empty window, below it a ValueError."""
+    return natural(h, "horizon must be >= 0", 0)
+
+
 def _check_window(start: int, end: int) -> None:
     if not 1 <= start <= end + 1:  # start == end + 1 is the empty window of horizon 0
         raise ValueError(f"window [{start}, {end}]: need 1 <= start <= end + 1")
@@ -583,11 +589,8 @@ _BLOCK = 32  # indices per block maximum in the rule-based memo, and runs per bl
 
 def element_to_obj(f: Element) -> dict:
     if isinstance(f, EventuallyConstant):
-        if (f.ends or (0,))[-1] <= MAX_RUNS:
-            body = {"prefix": [format_rational(v) for v in f.prefix]}
-        else:
-            body = {"runs": [[format_rational(v), n] for v, n in f.runs]}
-        return {"kind": "eventually_constant", **body, "tail": format_rational(f.tail)}
+        body = {"prefix": f.prefix} if (f.ends or (0,))[-1] <= MAX_RUNS else {"runs": f.runs}
+        return json_form({"kind": "eventually_constant", **body, "tail": f.tail})
     if isinstance(f, DyadicDecay) and f.coefficient == 1:
         return {"kind": "dyadic_decay"}
     raise SchemaError("only exact elements and the unit staircase have a serialized form")

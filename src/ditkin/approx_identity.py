@@ -18,15 +18,9 @@ import operator
 from fractions import Fraction
 from itertools import groupby, islice
 
-from .algebra import (
-    DEFAULT_HORIZON,
-    Element,
-    EventuallyConstant,
-    NormResult,
-    format_rational,
-)
+from .algebra import DEFAULT_HORIZON, Element, EventuallyConstant, NormResult, check_horizon, format_rational
 from .errors import HorizonExhausted, NotInMInfinityError
-from .weights import WeightFamily, frozen, natural, of_type, rational
+from .weights import Record, WeightFamily, frozen, natural, of_type, rational
 
 DEFAULT_SELECTION_COUNT = 8
 MAX_SELECTION_COUNT = 1 << 16  # the CLI's budget on --count
@@ -34,7 +28,7 @@ DEFAULT_SEARCH_BOUND = 1 << 40
 
 
 @frozen
-class AiSelection:
+class AiSelection(Record):
     """A selected subsequence of truncation indices with their exact norms.
 
     norms[i] = 1 + alpha_{indices[i]}.  For bounded_bai selections, liminf
@@ -46,40 +40,26 @@ class AiSelection:
     norms: tuple[Fraction, ...]
     liminf: Fraction | None = None
     slack: Fraction | None = None
+    fields = "kind", "indices", "norms", "liminf", "slack"  # liminf and slack are left out when None
 
     @property
     def kind(self) -> str:
         return "running_min" if self.liminf is None else "bounded_bai"
 
     def to_obj(self) -> dict:
-        obj: dict = {
-            "kind": self.kind,
-            "indices": list(self.indices),
-            "norms": [format_rational(v) for v in self.norms],
-        }
-        if self.liminf is not None:
-            obj["liminf"] = format_rational(self.liminf)
-        if self.slack is not None:
-            obj["slack"] = format_rational(self.slack)
-        return obj
+        return {key: value for key, value in super().to_obj().items() if value is not None}
 
 
 @frozen
-class DiagnosticRow:
+class DiagnosticRow(Record):
     """Residual and boundary quantities sampled at one truncation index."""
 
     index: int
     residual: NormResult
     alpha_next: Fraction  # alpha_{n_k} * |f(n_k + 1)|
     alpha_self: Fraction  # alpha_{n_k} * |f(n_k)|
-
-    def to_obj(self) -> dict:
-        return {
-            "n_k": self.index,
-            "residual": self.residual.to_obj(),
-            "alpha_next": format_rational(self.alpha_next),
-            "alpha_self": format_rational(self.alpha_self),
-        }
+    fields = "n_k", "residual", "alpha_next", "alpha_self"
+    n_k = property(lambda self: self.index)  # the JSON key of index
 
 
 def diagnostics_to_csv(rows: list[DiagnosticRow]) -> str:
@@ -109,7 +89,7 @@ def residual_norm(f: Element, w: WeightFamily, k: int, horizon: int = DEFAULT_HO
     for rule-based elements, which scan the window [k+1, k+h+1] and certify
     the tail from k+h+2 on.
     """
-    k, w = natural(k), of_type(w, WeightFamily, "weights")
+    k, w, horizon = natural(k), of_type(w, WeightFamily, "weights"), check_horizon(horizon)
     _require_vanishes_at_infinity(f)
     end = k + horizon + 1
     body = f.tail_sup(k + 1, end, horizon) + f.tail_variation(w, k + 1, end, horizon)
@@ -134,7 +114,7 @@ def residual_diagnostics(
 ) -> list[DiagnosticRow]:
     """Sample the residual and the two boundary quantities at given indices."""
     _require_vanishes_at_infinity(f)
-    w = of_type(w, WeightFamily, "weights")  # also when no index reaches residual_norm
+    w, horizon = of_type(w, WeightFamily, "weights"), check_horizon(horizon)  # also when no index reaches residual_norm
     return [  # the residual first, so that f.at reads a rule-based f's memo
         DiagnosticRow(n, residual_norm(f, w, n, horizon), w.at(n) * abs(f.at(n + 1)), w.at(n) * abs(f.at(n)))
         for n in indices
@@ -175,7 +155,7 @@ def ditkin_approximation(
     subsequence at doubling thresholds until the residual's certified upper
     bound meets tol.
     """
-    tol, w = rational(tol, "tolerance"), of_type(w, WeightFamily, "weights")
+    tol, w, horizon = rational(tol, "tolerance"), of_type(w, WeightFamily, "weights"), check_horizon(horizon)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     _require_vanishes_at_infinity(f)

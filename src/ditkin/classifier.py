@@ -37,6 +37,7 @@ from .weights import (
     Constant,
     Interleave,
     Linear,
+    Record,
     WeightClassification,
     WeightFamily,
     format_rational,
@@ -81,7 +82,7 @@ PROPERTIES = ("ditkin", "strongly_regular", "spectral_synthesis", "separable",
 
 
 @frozen
-class PropertyReport:
+class PropertyReport(Record):
     """Truth values plus witnesses for the regularity properties."""
 
     classification: WeightClassification
@@ -93,22 +94,8 @@ class PropertyReport:
     strong_ditkin = m_infinity_has_bai = bru_bade = property(lambda self: self.classification.liminf_finite)
     bru_dales = property(lambda self: self.classification.bounded)
     dales_bound = property(lambda self: None if self.classification.sup is None else 2 * self.classification.sup + 1)
-
-    def to_obj(self) -> dict:
-        return {
-            **{name: getattr(self, name) for name in PROPERTIES},
-            "dales_bound": (
-                format_rational(self.dales_bound) if self.dales_bound is not None else None
-            ),
-            "bade_witness": self.bade_witness.to_obj() if self.bade_witness else None,
-            "unboundedness_witness": (
-                [[n, format_rational(a)] for n, a in self.unboundedness_witness]
-                if self.unboundedness_witness is not None
-                else None
-            ),
-            "classification": self.classification.to_obj(),
-            "citations": dict(CITATIONS),
-        }
+    citations = CITATIONS
+    fields = *PROPERTIES, "dales_bound", "bade_witness", "unboundedness_witness", "classification", "citations"
 
 
 def property_report(w: WeightFamily) -> PropertyReport:
@@ -126,21 +113,17 @@ def _unboundedness_points(w: WeightFamily, count: int) -> tuple[tuple[int, Fract
 
 
 @frozen
-class RelativeUnitWitness:
+class RelativeUnitWitness(Record):
     """An element of the local vanishing ideal that is 1 on the excluded set."""
 
     point: object
     excluded_set_max: int
     element: Element
     norm: Fraction
+    fields = "point", "excluded_set_max", "element", "norm"
 
     def to_obj(self) -> dict:
-        return {
-            "point": format_point(self.point),
-            "excluded_set_max": self.excluded_set_max,
-            "element": element_to_obj(self.element),
-            "norm": format_rational(self.norm),
-        }
+        return super().to_obj(point=format_point(self.point), element=element_to_obj(self.element))
 
 
 def relative_unit_witness(w: WeightFamily, point, excluded: ClosedSet) -> RelativeUnitWitness:

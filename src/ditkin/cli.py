@@ -17,12 +17,12 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .algebra import closed_set_from_obj, element_from_obj, format_point, parse_point
+from .algebra import closed_set_from_obj, element_from_obj, parse_point
 from .approx_identity import DEFAULT_SELECTION_COUNT, MAX_SELECTION_COUNT, diagnostics_to_csv
 from .approx_identity import residual_diagnostics, select_ai_subsequence
 from .classifier import PROPERTIES, dyadic_counterexample, property_report, relative_unit_witness, repro_checks
 from .errors import DitkinError, SchemaError
-from .weights import WeightFamily, format_rational, parse_rational, weight_family_from_obj
+from .weights import WeightFamily, format_rational, json_form, parse_rational, weight_family_from_obj
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -108,9 +108,7 @@ def _repro_paper(args):
 
 # renderers: result -> text
 def _json(result) -> str:
-    if isinstance(result, list):
-        return json.dumps([row.to_obj() for row in result], indent=2)
-    return json.dumps(result if isinstance(result, dict) else result.to_obj(), indent=2)
+    return json.dumps(json_form(result), indent=2)
 
 
 def _classify_table(report) -> str:
@@ -135,14 +133,13 @@ def _residuals_table(rows) -> str:
 
 
 def _select_ai_table(sel) -> str:
-    norms = [format_rational(v) for v in sel.norms]
-    return f"kind = {sel.kind}\nindices = {list(sel.indices)}\nnorms = {norms}\n"
+    obj = sel.to_obj()
+    return f"kind = {obj['kind']}\nindices = {obj['indices']}\nnorms = {obj['norms']}\n"
 
 
 def _witness_table(witness) -> str:
-    element = json.dumps(witness.to_obj()["element"])
-    point, norm = format_point(witness.point), format_rational(witness.norm)
-    return f"point = {point}\nnorm = {norm}\nelement = {element}\n"
+    obj = witness.to_obj()
+    return f"point = {obj['point']}\nnorm = {obj['norm']}\nelement = {json.dumps(obj['element'])}\n"
 
 
 def _repro_table(result) -> str:

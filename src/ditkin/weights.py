@@ -109,6 +109,29 @@ def format_rational(q: Fraction) -> str:
         raise SchemaError(f"a result has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
+def json_form(value):
+    """The JSON form of a result value, the one rule every writer follows: a Fraction is its
+    format_rational string, a tuple or list a list and a dict the same keys, each item written;
+    a Record writes its to_obj, and the rest (an int, bool, str or None) stays as it is."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, (tuple, list)):
+        return list(map(json_form, value))
+    if isinstance(value, dict):
+        return {key: json_form(v) for key, v in value.items()}
+    return value.to_obj() if isinstance(value, Record) else value
+
+
+class Record:
+    """A value with a JSON form: the `fields` its class declares, the JSON keys in output order
+    (a family's map each key to its kind), each written from the attribute of that name by json_form.
+    They are not annotated, so `frozen` takes none of them for a field."""
+
+    def to_obj(self, **written) -> dict:
+        """The declared keys in order; a key given in `written` takes that JSON value instead."""
+        return {key: written[key] if key in written else json_form(getattr(self, key)) for key in self.fields}
+
+
 @frozen
 class TailInf:
     """Exact infimum of the weight tail {alpha_j : j >= at_index}.
@@ -123,7 +146,7 @@ class TailInf:
 
 
 @frozen
-class WeightClassification:
+class WeightClassification(Record):
     """Exact asymptotic classification of a weight family.
 
     sup is None when the sequence is unbounded; liminf is None when the
@@ -133,6 +156,7 @@ class WeightClassification:
     sup: Fraction | None
     liminf: Fraction | None
     nondecreasing: bool
+    fields = "bounded", "sup", "liminf_finite", "liminf", "nondecreasing", "diverges_to_infinity"
 
     @property
     def bounded(self) -> bool:
@@ -145,16 +169,6 @@ class WeightClassification:
     @property
     def diverges_to_infinity(self) -> bool:
         return self.liminf is None
-
-    def to_obj(self) -> dict:
-        return {
-            "bounded": self.bounded,
-            "sup": format_rational(self.sup) if self.sup is not None else None,
-            "liminf_finite": self.liminf_finite,
-            "liminf": format_rational(self.liminf) if self.liminf is not None else None,
-            "nondecreasing": self.nondecreasing,
-            "diverges_to_infinity": self.diverges_to_infinity,
-        }
 
 
 @frozen
@@ -237,10 +251,10 @@ def rational(x, name: str = "value") -> Fraction:
     return Fraction(x)
 
 
-def natural(n, message: str = "index must be >= 1") -> int:
-    """n as an int, for an index, start, count or run length: TypeError for a
-    non-integer, ValueError(message) below 1.  Every such argument comes through here."""
-    if (n := operator.index(n)) < 1:
+def natural(n, message: str = "index must be >= 1", least: int = 1) -> int:
+    """n as an int, for an index, start, count or run length, or from least=0 a horizon: TypeError
+    for a non-integer, ValueError(message) below least.  Every such argument comes through here."""
+    if (n := operator.index(n)) < least:
         raise ValueError(message)
     return n
 
@@ -252,13 +266,13 @@ def of_type(x, kind: type, name: str):
     return x
 
 
-class WeightFamily:
+class WeightFamily(Record):
     """Base class of the weight grammar; concrete families below.  Only this
     module reads a normal form: every index search is a method here.  Each
     family caches its integer leaf form (`_leaves`) and classification per
     object, in the instance dict, so they take no part in __eq__ or __hash__.
     Each declares its JSON form once, its `tag` and `fields` (key -> Fraction, WeightFamily,
-    or [either] for a list), which weight_family_from_obj reads and to_obj writes."""
+    or [either] for a list), which weight_family_from_obj reads and to_obj writes after the tag."""
 
     def at(self, n: int) -> Fraction:
         """Exact value of alpha_n for an integer n >= 1; the one check of an index."""
@@ -279,7 +293,7 @@ class WeightFamily:
 
     def to_obj(self) -> dict:
         """The JSON form that weight_family_from_obj reads: the tag, then each declared field in order."""
-        return {"family": self.tag, **{key: _write(getattr(self, key)) for key in self.fields}}
+        return {"family": self.tag, **super().to_obj()}
 
     def _hits(self, at_or_after: int, t: Fraction, op) -> Iterator[int]:
         """Every n >= at_or_after with op(alpha_n, t), in increasing order, for op one
@@ -651,13 +665,6 @@ def _read(kind, value: object, path: str, depth: int):
         except SchemaError:  # name the item only once a value is rejected
             pass
     return tuple(_read(kind[0], v, f"{path}[{i}]", depth) for i, v in enumerate(value))
-
-
-def _write(value):
-    """The JSON form of a declared field's value, which _read reads back."""
-    if isinstance(value, tuple):
-        return list(map(_write, value))
-    return value.to_obj() if isinstance(value, WeightFamily) else format_rational(value)
 
 
 def _checked(cls, args, path: str):

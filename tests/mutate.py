@@ -5,10 +5,12 @@ Run from the repository root as
     python tests/mutate.py src/ditkin/classifier.py src/ditkin/approx_identity.py
     python tests/mutate.py src/ditkin/weights.py --tests tests/test_weights.py --sample 20 --seed 3
 
-A site is one comparison or arithmetic operator in a module's syntax tree
-(`ast`).  Its mutant swaps that one operator for its partner in SWAPS, in
-the source text, so every other line and column stays as it was.  Each
-mutant is written into a temporary copy of `src/` and `tests/`, and the
+A site is one comparison, arithmetic or boolean operator in a module's syntax
+tree (`ast`): each `and` or `or` between two operands, and each `not`.  Its
+mutant swaps that one operator for its partner in SWAPS (`and` for `or` and
+back), or drops it (a `not`), in the source text, so every other line and
+column stays as it was.  Each mutant is written into a temporary copy of
+`src/` and `tests/`, and the
 named tests (default: all of `tests/`) run there under pytest with `-x`,
 the hypothesis seed `--seed` and a timeout: `--timeout` seconds, or by
 default ten times the wall time of the unmutated run and at least a
@@ -39,6 +41,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import pairwise
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,8 +53,10 @@ SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
     ast.Div: ast.Mult, ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult,
     ast.LShift: ast.RShift, ast.RShift: ast.LShift, ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd,
+    ast.And: ast.Or, ast.Or: ast.And, ast.Not: None,  # None: the mutant drops the operator
 }
 SYMBOLS = {
+    None: "", ast.And: "and", ast.Or: "or", ast.Not: "not",
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
     ast.Is: "is", ast.IsNot: "is not", ast.In: "in", ast.NotIn: "not in",
     ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//", ast.Div: "/", ast.Mod: "%",
@@ -133,7 +138,7 @@ def _scopes(tree: ast.AST) -> dict[int, str]:
 
 def _operators(tree: ast.AST):
     """(expression node, left operand, operator, right operand) for every operator outside
-    a type annotation, which never runs."""
+    a type annotation, which never runs; a unary operator has no left operand."""
     annotations = (getattr(n, k, None) for n in ast.walk(tree) for k in ("annotation", "returns"))
     skip = {id(n) for a in annotations if a is not None for n in ast.walk(a)}
     for node in ast.walk(tree):
@@ -147,6 +152,11 @@ def _operators(tree: ast.AST):
             yield node, node.left, node.op, node.right
         elif isinstance(node, ast.AugAssign):
             yield node, node.target, node.op, node.value
+        elif isinstance(node, ast.BoolOp):
+            for left, right in pairwise(node.values):
+                yield node, left, node.op, right
+        elif isinstance(node, ast.UnaryOp):  # the operator comes first: its left operand is None
+            yield node, None, node.op, node.operand
 
 
 def sites(path: Path) -> list[Site]:
@@ -161,14 +171,18 @@ def sites(path: Path) -> list[Site]:
     for node, left, op, right in _operators(tree):
         if type(op) not in SWAPS:
             continue
-        # the operator is the one token between its operands, give or take brackets and comments
-        lo = starts[left.end_lineno - 1] + left.end_col_offset
+        # the operator is the one token between its operands (or before a unary one's operand),
+        # give or take brackets and comments
+        if left is None:
+            lo = starts[node.lineno - 1] + node.col_offset
+        else:
+            lo = starts[left.end_lineno - 1] + left.end_col_offset
         hi = starts[right.lineno - 1] + right.col_offset
         symbol = SYMBOLS[type(op)] + ("=" if isinstance(node, ast.AugAssign) else "")
         pattern = re.escape(symbol).replace(r"\ ", r"\s+").encode()
-        match = re.search(rb"(?<![<>=!*/])" + pattern + rb"(?![<>=*/])", data[lo:hi])
+        match = re.search(rb"(?<![<>=!*/\w])" + pattern + rb"(?![<>=*/\w])", data[lo:hi])
         if match is None:
-            raise ValueError(f"{path.name}:{left.end_lineno}: no {symbol!r} between the operands")
+            raise ValueError(f"{path.name}:{node.lineno}: no {symbol!r} at the operator's place")
         new = SYMBOLS[SWAPS[type(op)]] + symbol[len(SYMBOLS[type(op)]):]
         mutated = data[: lo + match.start()] + new.encode() + data[lo + match.end():]
         line = data[: lo + match.start()].count(b"\n") + 1

@@ -196,6 +196,11 @@ class TestNorm:
         assert NormResult(1, 2) + NormResult(1, 2) == NormResult(2, 4, None)
         assert NormResult(1, 2) + NormResult(0, 1, 8) == NormResult(1, 3, 8)
 
+    def test_an_exact_result_plus_an_interval_is_the_interval_shifted(self):
+        # both sides of a sum must be exact for the sum to be exact
+        assert NormResult.exact(1) + NormResult(1, 2, 8) == NormResult(2, 3, 8)
+        assert NormResult(1, 2, 8) + NormResult.exact(1) == NormResult(2, 3, 8)
+
     def test_endpoints_out_of_order_are_rejected(self):
         with pytest.raises(ValueError, match="out of order"):
             NormResult(2, 1)

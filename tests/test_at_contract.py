@@ -14,7 +14,10 @@ passes in (a weight, an element value, a limit, a scale factor, a
 tolerance), is an exact int or `Fraction`; any other type, a float, a
 string or a `Decimal`, raises `TypeError`.  A weight family, an ideal spec
 or a closed set is checked at the public entry that takes it: any other
-object raises `TypeError`, not an `AttributeError` from deep inside.
+object raises `TypeError`, not an `AttributeError` from deep inside.  So are
+the parts of the last two when they are built: an ideal spec's zero set, and
+the two flags, which must be bools.  A scan horizon is an integer >= 0 on
+every tier, with the same error on each.
 """
 
 from decimal import Decimal
@@ -30,6 +33,7 @@ from ditkin import (
     Constant,
     DyadicDecay,
     EventuallyConstant,
+    HorizonExhausted,
     IdealSpec,
     Interleave,
     Linear,
@@ -293,6 +297,10 @@ STRUCTURED = {
     "witness_excluded_at_a_point": (
         lambda x: relative_unit_witness(Constant(2), 3, x), ClosedSet((2,)), "excluded set must be of type ClosedSet"
     ),
+    "ideal_spec_zero_set": (lambda x: IdealSpec(x, False), ClosedSet((2,)), "zero set must be of type ClosedSet"),
+    "ideal_spec_zero_set_by_keyword": (
+        lambda x: IdealSpec(zero_set=x, neighbourhood=True), ClosedSet(), "zero set must be of type ClosedSet"
+    ),
 }
 
 
@@ -312,3 +320,102 @@ def test_wrong_structured_argument_raises_type_error(name, wrong):
 def test_structured_argument_is_accepted(name):
     call, right, _ = STRUCTURED[name]
     call(right)
+
+
+# The two flags of a closed set and an ideal spec are bools: "no" is truthy, and
+# would otherwise put ∞ in the set.
+FLAGS = {
+    "with_infinity": lambda x: ClosedSet((), x),
+    "with_infinity_by_keyword": lambda x: ClosedSet(with_infinity=x),
+    "neighbourhood": lambda x: IdealSpec(ClosedSet((2,)), x),
+}
+
+
+@pytest.mark.parametrize("name", FLAGS)
+@pytest.mark.parametrize("x", ["no", "", 1, 0, None], ids=["str", "empty_str", "one", "zero", "none"])
+def test_non_bool_flag_raises_type_error(name, x):
+    flag = name.removesuffix("_by_keyword")
+    with pytest.raises(TypeError, match=f"^{flag} must be of type bool, got {type(x).__name__}$"):
+        FLAGS[name](x)
+
+
+@pytest.mark.parametrize("name", FLAGS)
+@pytest.mark.parametrize("x", [False, True])
+def test_bool_flag_is_accepted(name, x):
+    FLAGS[name](x)
+
+
+def test_a_bad_ideal_spec_fails_where_it_is_built():
+    with pytest.raises(TypeError, match="^zero set must be of type ClosedSet, got int$"):
+        ONE.in_ideal(IdealSpec(1, False))
+    with pytest.raises(TypeError, match="^with_infinity must be of type bool, got str$"):
+        ClosedSet((), "no").contains(INFINITY)
+    assert not ClosedSet((), False).contains(INFINITY) and ClosedSet((), True).contains(INFINITY)
+
+
+# Every entry point that takes a scan horizon h, on every tier: the exact tiers
+# do not scan, the rule-based tier scans [1, h], and all check h the same way.
+VANISHING_ELEMENTS = {
+    "exact": prefix_indicator(3),
+    "zero": ZERO,
+    "dyadic": DyadicDecay(F(-4, 3)),
+    "rule_based": _rule_based(),
+}
+
+
+def _search_nothing(h):
+    with pytest.raises(HorizonExhausted):  # reached only by a valid horizon
+        ditkin_approximation(DyadicDecay(), Constant(1), F(1), h, 0)
+
+
+HORIZONED = {
+    **{f"norm_{k}": (lambda f: lambda h: f.norm(Constant(1), horizon=h))(f) for k, f in VANISHING_ELEMENTS.items()},
+    **{f"sup_norm_{k}": (lambda f: lambda h: f.sup_norm(h))(f) for k, f in VANISHING_ELEMENTS.items()},
+    **{
+        f"weighted_variation_{k}": (lambda f: lambda h: f.weighted_variation(Constant(1), h))(f)
+        for k, f in VANISHING_ELEMENTS.items()
+    },
+    **{
+        f"residual_norm_{k}": (lambda f: lambda h: residual_norm(f, Constant(1), 2, h))(f)
+        for k, f in VANISHING_ELEMENTS.items()
+    },
+    "residual_diagnostics": lambda h: residual_diagnostics(prefix_indicator(3), Constant(1), [2], h),
+    "ditkin_approximation_supported": lambda h: ditkin_approximation(prefix_indicator(3), Constant(1), F(1), h),
+    "ditkin_approximation_dyadic": lambda h: ditkin_approximation(DyadicDecay(), Constant(1), F(1), h),
+    # also where no residual is computed: no index, or no index to search
+    "residual_diagnostics_no_index": lambda h: residual_diagnostics(prefix_indicator(3), Constant(1), [], h),
+    "ditkin_approximation_no_search": _search_nothing,
+    "norm_one": lambda h: ONE.norm(Constant(1), h),
+}
+
+
+@pytest.mark.parametrize("name", HORIZONED)
+@pytest.mark.parametrize("h", [-1, -5])
+def test_negative_horizon_raises_value_error(name, h):
+    with pytest.raises(ValueError, match="^horizon must be >= 0$"):
+        HORIZONED[name](h)
+
+
+@pytest.mark.parametrize(
+    "h", ["abc", 2.5, F(5, 2), 3.0, None], ids=["str", "float", "fraction", "integral_float", "none"]
+)
+def test_non_integer_horizon_raises_the_same_type_error_on_every_tier(h):
+    messages = set()
+    for call in HORIZONED.values():
+        with pytest.raises(TypeError) as info:
+            call(h)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
+@pytest.mark.parametrize("name", HORIZONED)
+@pytest.mark.parametrize("h", [0, 1, 8])
+def test_integer_horizon_is_accepted(name, h):
+    HORIZONED[name](h)
+
+
+def test_a_bool_horizon_is_written_as_an_int():
+    # True is the integer 1, as for an index
+    assert _rule_based().norm(Constant(1), horizon=True) == _rule_based().norm(Constant(1), horizon=1)
+    for result in (_rule_based().norm(Constant(1), horizon=True), residual_norm(_rule_based(), Constant(1), 2, True)):
+        assert type(result.horizon) is int and result.to_obj()["horizon"] == 1

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: subcommands, formats, exit codes."""
 
+import errno
 import json
 import os
 import subprocess
@@ -51,8 +52,21 @@ class TestClassify:
         assert main(["classify", path]) == 2
         assert "family" in capsys.readouterr().err
 
+    def test_a_family_tag_wins_over_a_weights_key(self, tmp_path, capsys):
+        # only a document without a family tag is a wrapper whose weights are the family
+        doc = {"family": "constant", "value": "1", "weights": {"family": "constant", "value": "2"}}
+        assert main(["classify", write_json(tmp_path / "w.json", doc)]) == 0
+        assert json.loads(capsys.readouterr().out)["classification"]["sup"] == "1"
+
+    @pytest.mark.parametrize("doc", ["weights", ["weights"]], ids=["str", "list"])
+    def test_a_document_that_is_not_an_object_is_an_input_error(self, tmp_path, capsys, doc):
+        assert main(["classify", write_json(tmp_path / "w.json", doc)]) == 2
+        assert capsys.readouterr().err == f"input error: weights: expected an object, got {type(doc).__name__}\n"
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
-        assert main(["classify", str(tmp_path / "nope.json")]) == 2
+        path = str(tmp_path / "nope.json")
+        assert main(["classify", path]) == 2
+        assert capsys.readouterr().err == f"input error: {path}: {os.strerror(errno.ENOENT)}\n"
 
     def test_invalid_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "w.json"
@@ -312,11 +326,13 @@ class TestPlumbing:
             assert target.read_text(encoding="utf-8") == shown
 
     @pytest.mark.parametrize(
-        "where", ["missing/dir/out.json", "."], ids=["missing_dir", "directory"]
+        "where, code", [("missing/dir/out.json", errno.ENOENT), (".", errno.EISDIR)], ids=["missing_dir", "directory"]
     )
-    def test_unwritable_output_is_input_error(self, odd_even_weights_file, tmp_path, capsys, where):
-        assert main(["classify", odd_even_weights_file, "--output", str(tmp_path / where)]) == 2
-        _assert_one_line_input_error(capsys.readouterr(), "--output: ")
+    def test_unwritable_output_is_input_error(self, odd_even_weights_file, tmp_path, capsys, where, code):
+        target = str(tmp_path / where)
+        assert main(["classify", odd_even_weights_file, "--output", target]) == 2
+        # the OS error's own text, without its errno prefix or the path repeated
+        assert capsys.readouterr().err == f"input error: --output: {target}: {os.strerror(code)}\n"
 
     def test_deterministic_output(self, odd_even_weights_file, capsys):
         assert main(["classify", odd_even_weights_file]) == 0

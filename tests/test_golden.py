@@ -123,6 +123,12 @@ class TestReproChecks:
         assert len(self_terms["failures"]) == 19
         assert residual["failures"][0] == {"at": "m=3", "expected": ">= 1/4", "computed": "3/16"}
 
+    def test_an_exact_norm_other_than_one_fails(self):
+        # the staircase's norm under constant weights 2 is its sup 1/2 plus twice its variation 1/2
+        *_, norm = repro_checks(Constant(Fraction(2)))
+        assert norm == {"name": REPRO_CHECKS[3][0], "pass": False,
+                        "failures": [{"at": "norm", "expected": "1", "computed": "3/2"}]}
+
     def test_residual_bound_of_exactly_one_quarter_passes(self):
         # n/2 on even and 1/2 on odd indices, with alpha_4 = 1/2: the residual at
         # k = 4 is 1/8 + 1/16 + 1/16 = 1/4 exactly, and above 1/4 at every other 2^m

@@ -40,3 +40,18 @@ def test_the_mutants_timeout_comes_from_the_unmutated_run_unless_given(monkeypat
     assert given == timeouts
     out = capsys.readouterr().out
     assert f"unmutated run 13.0 s, timeout per mutant {timeouts[1]:.0f} s" in out and "1 killed" in out
+
+
+def test_boolean_connectives_swap_and_a_not_is_dropped(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("def f(a, b, c):\n    return a or b and not c  # or not\n")
+    found = {site.code: site for site in mutate.sites(path)}
+    assert list(found) == [
+        "return a {or -> and} b and not c",
+        "return a or b {and -> or} not c",
+        "return a or b and {not -> } c",
+    ]
+    mutated = [site.mutated.decode().splitlines()[1] for site in found.values()]
+    assert mutated == ["    return a and b and not c  # or not", "    return a or b or not c  # or not",
+                       "    return a or b and  c  # or not"]
+    assert [site.swap for site in found.values()] == ["or -> and", "and -> or", "not -> "]

@@ -1,9 +1,11 @@
 """The contract of the 17 immutable value classes: structural equality within
 one class, hashing that agrees with it, a field-by-field repr, defaults and
 keyword construction, arity errors, no assignment or deletion, pickle and
-deepcopy round trips, and per-object caches that stay out of all of these."""
+deepcopy round trips, and per-object caches that stay out of all of these;
+and the JSON form of each class that has one, pinned where no golden prints it."""
 
 import copy
+import json
 import pickle
 from fractions import Fraction
 
@@ -214,3 +216,47 @@ def test_filled_caches_stay_out_of_value(make_obj, fill):
     assert len(vars(a)) > len(fields)  # a cache now sits in the instance dict
     assert a == fresh and fresh == a and hash(a) == h == hash(fresh) and repr(a) == r
     assert pickle.loads(pickle.dumps(a)) == fresh and copy.deepcopy(a) == fresh
+
+
+# The JSON shapes that no golden output prints, written out by hand.
+JSON_SHAPES = {
+    "interval_norm": (NormResult(F(1, 2), F(6, 8), 64), {"lo": "1/2", "hi": "3/4", "horizon": 64}),
+    "interval_norm_at_horizon_zero": (NormResult(0, F(1, 3), 0), {"lo": "0", "hi": "1/3", "horizon": 0}),
+    "row_with_interval_residual": (
+        DiagnosticRow(3, NormResult(F(1, 3), F(2, 3), 16), F(1, 2), F(0)),
+        {"n_k": 3, "residual": {"lo": "1/3", "hi": "2/3", "horizon": 16}, "alpha_next": "1/2", "alpha_self": "0"},
+    ),
+    "selection_with_liminf_and_no_slack": (
+        AiSelection((1, 3), (F(2), F(5, 2)), F(1)),
+        {"kind": "bounded_bai", "indices": [1, 3], "norms": ["2", "5/2"], "liminf": "1"},
+    ),
+    "selection_with_slack_and_no_liminf": (
+        AiSelection((2,), (F(3),), slack=F(1, 2)),
+        {"kind": "running_min", "indices": [2], "norms": ["3"], "slack": "1/2"},
+    ),
+    "unbounded_classification": (
+        WeightClassification(None, F(1, 2), True),
+        {"bounded": False, "sup": None, "liminf_finite": True, "liminf": "1/2", "nondecreasing": True,
+         "diverges_to_infinity": False},
+    ),
+    "report_without_witnesses": (
+        PropertyReport(_classification(), None, None),
+        {**dict.fromkeys(PROPERTIES, True), "dales_bound": "5", "bade_witness": None, "unboundedness_witness": None,
+         "classification": _classification().to_obj()},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", JSON_SHAPES)
+def test_json_shape_is_pinned(name):
+    record, shape = JSON_SHAPES[name]
+    obj = record.to_obj()
+    obj.pop("citations", None)  # the report's citations are pinned by the classify goldens
+    assert obj == shape and list(obj) == list(shape)
+
+
+@pytest.mark.parametrize("name", [n for n in NAMES if hasattr(make(n), "to_obj")] + list(JSON_SHAPES))
+def test_json_form_survives_a_json_round_trip(name):
+    record = make(name) if name in CASES else JSON_SHAPES[name][0]
+    obj = record.to_obj()
+    assert json.loads(json.dumps(obj)) == obj and record.to_obj() == obj

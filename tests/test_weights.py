@@ -30,8 +30,8 @@ from ditkin import (
     select_ai_subsequence,
     weight_family_from_obj,
 )
-from ditkin.algebra import ONE
-from ditkin.weights import MAX_ARMS, MAX_FAMILY_DEPTH, dyadic_jump_tail, echo, eventual_form
+from ditkin.algebra import ONE, NormResult
+from ditkin.weights import MAX_ARMS, MAX_FAMILY_DEPTH, dyadic_jump_tail, echo, eventual_form, json_form
 
 from _support import (
     dense_dyadic_jump_tail,
@@ -236,6 +236,15 @@ class TestSerialization:
             '{"family": "prefix", "prefix": ["3/2"], "tail": {"family": "interleave", "modulus": 2, "parts": '
             '[{"family": "linear", "offset": "0", "slope": "1/2"}, {"family": "constant", "value": "1"}]}}'
         )
+
+    def test_one_writer_for_every_kind_of_value(self):
+        value = {"q": Fraction(6, 4), "items": (1, None, True, "s", [Fraction(2)]), "rows": (NormResult.exact(1),)}
+        assert json_form({**value, "family": Constant(3)}) == {
+            "q": "3/2",
+            "items": [1, None, True, "s", ["2"]],
+            "rows": [{"exact": "1"}],
+            "family": {"family": "constant", "value": "3"},
+        }
 
     def test_odd_even_family_document(self):
         obj = {
