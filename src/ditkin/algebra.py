@@ -575,7 +575,9 @@ def _max_ratio(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
 
 def check_horizon(h) -> int:
     """h as a scan horizon, the same on every tier: 0 is the empty window, below it a ValueError."""
-    return natural(h, "horizon must be >= 0", 0)
+    if (h := operator.index(h)) < 0:
+        raise ValueError("horizon must be >= 0")
+    return h
 
 
 def _check_window(start: int, end: int) -> None:

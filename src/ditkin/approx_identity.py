@@ -20,7 +20,7 @@ from itertools import groupby, islice
 
 from .algebra import DEFAULT_HORIZON, Element, EventuallyConstant, NormResult, check_horizon, format_rational
 from .errors import HorizonExhausted, NotInMInfinityError
-from .weights import Record, WeightFamily, frozen, natural, of_type, rational
+from .weights import Record, WeightFamily, frozen, natural, of_type, optional, rational
 
 DEFAULT_SELECTION_COUNT = 8
 MAX_SELECTION_COUNT = 1 << 16  # the CLI's budget on --count
@@ -41,6 +41,7 @@ class AiSelection(Record):
     liminf: Fraction | None = None
     slack: Fraction | None = None
     fields = "kind", "indices", "norms", "liminf", "slack"  # liminf and slack are left out when None
+    convert = {"norms": lambda qs: tuple(map(rational, qs)), **dict.fromkeys(("liminf", "slack"), optional(rational))}
 
     @property
     def kind(self) -> str:
@@ -59,6 +60,7 @@ class DiagnosticRow(Record):
     alpha_next: Fraction  # alpha_{n_k} * |f(n_k + 1)|
     alpha_self: Fraction  # alpha_{n_k} * |f(n_k)|
     fields = "n_k", "residual", "alpha_next", "alpha_self"
+    convert = dict.fromkeys(("alpha_next", "alpha_self"), rational)
     n_k = property(lambda self: self.index)  # the JSON key of index
 
 

@@ -43,6 +43,8 @@ from .weights import (
     format_rational,
     frozen,
     of_type,
+    optional,
+    rational,
 )
 
 # what each report field rests on; "established" fields hold for every family
@@ -50,9 +52,7 @@ from .weights import (
 CITATIONS = {
     "ditkin": "established: every algebra in this family satisfies Ditkin's condition",
     "strongly_regular": "established: Ditkin's condition implies strong regularity",
-    "spectral_synthesis": (
-        "established: on this one-point compactification, Ditkin algebras have spectral synthesis"
-    ),
+    "spectral_synthesis": "established: on this one-point compactification, Ditkin algebras have spectral synthesis",
     "separable": "established: every algebra in this family is separable",
     "strong_ditkin": "computed: equivalent to the weights not diverging to infinity",
     "m_infinity_has_bai": (
@@ -96,6 +96,7 @@ class PropertyReport(Record):
     dales_bound = property(lambda self: None if self.classification.sup is None else 2 * self.classification.sup + 1)
     citations = CITATIONS
     fields = *PROPERTIES, "dales_bound", "bade_witness", "unboundedness_witness", "classification", "citations"
+    convert = {"unboundedness_witness": optional(lambda points: tuple((n, rational(a)) for n, a in points))}
 
 
 def property_report(w: WeightFamily) -> PropertyReport:
@@ -121,9 +122,10 @@ class RelativeUnitWitness(Record):
     element: Element
     norm: Fraction
     fields = "point", "excluded_set_max", "element", "norm"
+    convert = {"norm": rational}
 
     def to_obj(self) -> dict:
-        return super().to_obj(point=format_point(self.point), element=element_to_obj(self.element))
+        return {**super().to_obj(), "point": format_point(self.point), "element": element_to_obj(self.element)}
 
 
 def relative_unit_witness(w: WeightFamily, point, excluded: ClosedSet) -> RelativeUnitWitness:
@@ -139,17 +141,10 @@ def relative_unit_witness(w: WeightFamily, point, excluded: ClosedSet) -> Relati
     w, excluded = of_type(w, WeightFamily, "weights"), of_type(excluded, ClosedSet, "excluded set")
     if point is INFINITY:
         if excluded.with_infinity:
-            raise InvalidExcludedSet(
-                "a compact set excluded at infinity must stay inside N"
-            )
+            raise InvalidExcludedSet("a compact set excluded at infinity must stay inside N")
         base = max(excluded.max_finite, 1)
         k = w.tail_infimum(base).attained_at
-        return RelativeUnitWitness(
-            point=INFINITY,
-            excluded_set_max=excluded.max_finite,
-            element=prefix_indicator(k),
-            norm=1 + w.at(k),
-        )
+        return RelativeUnitWitness(INFINITY, excluded.max_finite, prefix_indicator(k), 1 + w.at(k))
 
     x = operator.index(point)
     if x < 1:
@@ -169,9 +164,7 @@ def dyadic_counterexample() -> tuple[WeightFamily, Element]:
     return w, DyadicDecay()
 
 
-def unbounded_nondivergent_family(
-    divergent_part: WeightFamily, bounded_value: Fraction
-) -> WeightFamily:
+def unbounded_nondivergent_family(divergent_part: WeightFamily, bounded_value: Fraction) -> WeightFamily:
     """Interleave a constant with a divergent family: unbounded weights whose
     liminf stays finite, so the algebra is strong Ditkin without a uniform
     relative-unit bound."""
@@ -229,9 +222,7 @@ def repro_checks(w: WeightFamily) -> list[dict]:
         try:
             for at, ok, expected, computed in items(w, f):
                 if not ok:
-                    failures.append(
-                        {"at": at, "expected": expected, "computed": format_rational(computed)}
-                    )
+                    failures.append({"at": at, "expected": expected, "computed": format_rational(computed)})
         except SchemaError:
             raise  # an input too large to handle or print is not a failed check
         except DitkinError as exc:

@@ -76,9 +76,11 @@ def echo(value: object) -> str:
 
 def frozen(cls):
     """`dataclass(frozen=True)` without generated code: the fields are the annotated names down the MRO, a class
-    attribute so named a default.  Every __init__ but EventuallyConstant's stores them by object.__setattr__."""
+    attribute so named a default, and a class's `convert` maps a field to the function that makes the stored value
+    from the given one.  Every __init__ but EventuallyConstant's stores them by object.__setattr__."""
     names = tuple(dict.fromkeys(n for c in reversed(cls.__mro__) for n in c.__dict__.get("__annotations__", ())))
     defaults, fields = {n: getattr(cls, n) for n in names if hasattr(cls, n)}, operator.attrgetter(*names)
+    convert = cls.__dict__.get("convert", {})
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):  # positional construction skips the binding
@@ -87,7 +89,7 @@ def frozen(cls):
                 raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
             args = map(given.get, names)
         for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, convert[name](value) if name in convert else value)
 
     def immutable(self, name, *value):
         raise AttributeError(f"{cls.__name__} is immutable: cannot set or delete {name!r}")
@@ -109,6 +111,21 @@ def format_rational(q: Fraction) -> str:
         raise SchemaError(f"a result has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
+def rational(x, name: str = "value") -> Fraction:
+    """x as a Fraction, for a weight, element value, scale factor, level or tolerance: TypeError
+    for anything but an int or a Fraction (a float, a str, a Decimal).  Every such argument comes through here."""
+    if type(x) is Fraction:
+        return x
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{name} must be an int or a Fraction, got {type(x).__name__}")
+    return Fraction(x)
+
+
+def optional(convert):
+    """convert, for a field that may be None, which it keeps."""
+    return lambda value: None if value is None else convert(value)
+
+
 def json_form(value):
     """The JSON form of a result value, the one rule every writer follows: a Fraction is its
     format_rational string, a tuple or list a list and a dict the same keys, each item written;
@@ -125,11 +142,11 @@ def json_form(value):
 class Record:
     """A value with a JSON form: the `fields` its class declares, the JSON keys in output order
     (a family's map each key to its kind), each written from the attribute of that name by json_form.
-    They are not annotated, so `frozen` takes none of them for a field."""
+    They are not annotated, so `frozen` takes none of them for a field.  A result's rationals are stored as
+    Fractions (its `convert`), so their JSON form is always a format_rational string."""
 
-    def to_obj(self, **written) -> dict:
-        """The declared keys in order; a key given in `written` takes that JSON value instead."""
-        return {key: written[key] if key in written else json_form(getattr(self, key)) for key in self.fields}
+    def to_obj(self) -> dict:
+        return {key: json_form(getattr(self, key)) for key in self.fields}
 
 
 @frozen
@@ -157,6 +174,7 @@ class WeightClassification(Record):
     liminf: Fraction | None
     nondecreasing: bool
     fields = "bounded", "sup", "liminf_finite", "liminf", "nondecreasing", "diverges_to_infinity"
+    convert = dict.fromkeys(("sup", "liminf"), optional(rational))
 
     @property
     def bounded(self) -> bool:
@@ -241,20 +259,10 @@ class LeafForm:
         return out
 
 
-def rational(x, name: str = "value") -> Fraction:
-    """x as a Fraction, for a weight, element value, scale factor, level or tolerance: TypeError
-    for anything but an int or a Fraction (a float, a str, a Decimal).  Every such argument comes through here."""
-    if type(x) is Fraction:
-        return x
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError(f"{name} must be an int or a Fraction, got {type(x).__name__}")
-    return Fraction(x)
-
-
-def natural(n, message: str = "index must be >= 1", least: int = 1) -> int:
-    """n as an int, for an index, start, count or run length, or from least=0 a horizon: TypeError
-    for a non-integer, ValueError(message) below least.  Every such argument comes through here."""
-    if (n := operator.index(n)) < least:
+def natural(n, message: str = "index must be >= 1") -> int:
+    """n as an int, for an index, start, count or run length: TypeError for a
+    non-integer, ValueError(message) below 1.  Every such argument comes through here."""
+    if (n := operator.index(n)) < 1:
         raise ValueError(message)
     return n
 

@@ -331,8 +331,10 @@ class TestPlumbing:
     def test_unwritable_output_is_input_error(self, odd_even_weights_file, tmp_path, capsys, where, code):
         target = str(tmp_path / where)
         assert main(["classify", odd_even_weights_file, "--output", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing falls back to stdout
         # the OS error's own text, without its errno prefix or the path repeated
-        assert capsys.readouterr().err == f"input error: --output: {target}: {os.strerror(code)}\n"
+        assert captured.err == f"input error: --output: {target}: {os.strerror(code)}\n"
 
     def test_deterministic_output(self, odd_even_weights_file, capsys):
         assert main(["classify", odd_even_weights_file]) == 0

@@ -7,6 +7,7 @@ and the JSON form of each class that has one, pinned where no golden prints it."
 import copy
 import json
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -244,7 +245,57 @@ JSON_SHAPES = {
         {**dict.fromkeys(PROPERTIES, True), "dales_bound": "5", "bade_witness": None, "unboundedness_witness": None,
          "classification": _classification().to_obj()},
     ),
+    # a rational field given an int stores it as a Fraction, so it is written as a string all the same
+    "row_built_from_ints": (
+        DiagnosticRow(3, NormResult.exact(1), 1, 0),
+        {"n_k": 3, "residual": {"exact": "1"}, "alpha_next": "1", "alpha_self": "0"},
+    ),
+    "selection_built_from_ints": (
+        AiSelection((1,), (2,), 1, 0),
+        {"kind": "bounded_bai", "indices": [1], "norms": ["2"], "liminf": "1", "slack": "0"},
+    ),
+    "classification_built_from_ints": (
+        WeightClassification(3, 0, False),
+        {"bounded": True, "sup": "3", "liminf_finite": True, "liminf": "0", "nondecreasing": False,
+         "diverges_to_infinity": False},
+    ),
+    "report_built_from_ints": (
+        PropertyReport(WeightClassification(None, None, True), None, ((3, 2),)),
+        {**dict.fromkeys(PROPERTIES[:4], True), **dict.fromkeys(PROPERTIES[4:], False), "dales_bound": None,
+         "bade_witness": None, "unboundedness_witness": [[3, "2"]],
+         "classification": WeightClassification(None, None, True).to_obj()},
+    ),
+    "witness_built_from_ints": (
+        RelativeUnitWitness(INFINITY, 1, EventuallyConstant((1,)), 2),
+        {"point": "inf", "excluded_set_max": 1,
+         "element": {"kind": "eventually_constant", "prefix": ["1"], "tail": "0"}, "norm": "2"},
+    ),
 }
+
+
+# each rational field, and whether None leaves it out
+RATIONAL_FIELDS = {
+    "row_alpha_next": (lambda q: DiagnosticRow(3, NormResult.exact(1), q, 0), False),
+    "row_alpha_self": (lambda q: DiagnosticRow(3, NormResult.exact(1), 0, q), False),
+    "selection_norm": (lambda q: AiSelection((1,), (q,)), False),
+    "selection_liminf": (lambda q: AiSelection((1,), (2,), q), True),
+    "selection_slack": (lambda q: AiSelection((1,), (2,), slack=q), True),
+    "classification_sup": (lambda q: WeightClassification(q, None, False), True),
+    "classification_liminf": (lambda q: WeightClassification(None, q, False), True),
+    "report_unboundedness": (lambda q: PropertyReport(WeightClassification(None, 0, True), None, ((3, q),)), False),
+    "witness_norm": (lambda q: RelativeUnitWitness(INFINITY, 1, EventuallyConstant((1,)), q), False),
+}
+
+
+@pytest.mark.parametrize("name", RATIONAL_FIELDS)
+def test_a_rational_field_takes_an_int_or_a_fraction(name):
+    build, optional = RATIONAL_FIELDS[name]
+    assert build(2) == build(F(2)) and build(F(1, 3)) != build(F(2))
+    for bad in (0.5, "1", Decimal(1), *(() if optional else (None,))):
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            build(bad)
+    if optional:
+        build(None)  # None leaves the field out
 
 
 @pytest.mark.parametrize("name", JSON_SHAPES)
