@@ -37,6 +37,7 @@ from .weights import (
     json_form,
     natural,
     of_type,
+    optional,
     parse_ratio,
     rational,
 )
@@ -79,6 +80,13 @@ def format_point(p: int | _Infinity) -> object:
     return "inf" if p is INFINITY else p
 
 
+def check_horizon(h) -> int:
+    """h as a scan horizon, the same on every tier: 0 is the empty window, below it a ValueError."""
+    if (h := operator.index(h)) < 0:
+        raise ValueError("horizon must be >= 0")
+    return h
+
+
 @frozen
 class NormResult(Record):
     """An exact rational norm value, or a certified interval [lo, hi].
@@ -89,16 +97,13 @@ class NormResult(Record):
 
     lo: Fraction
     hi: Fraction
-    horizon: int | None
+    horizon: int | None = None
     fields = "lo", "hi", "horizon"  # an interval's JSON form; an exact result writes {"exact": value}
+    convert = {"lo": rational, "hi": rational, "horizon": optional(check_horizon)}
 
-    def __init__(self, lo, hi, horizon=None):
-        lo, hi = rational(lo), rational(hi)
-        if lo > hi:
+    def _check(self):
+        if self.lo > self.hi:
             raise ValueError("interval endpoints out of order")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "horizon", horizon)
 
     @classmethod
     def exact(cls, value) -> "NormResult":
@@ -137,13 +142,12 @@ class ClosedSet:
     subsets of N, optionally together with ∞.
     """
 
-    points: tuple[int, ...]
-    with_infinity: bool
-
-    def __init__(self, points=(), with_infinity=False):
-        pts = tuple(sorted({natural(p, "closed-set points must be naturals >= 1") for p in points}))
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "with_infinity", of_type(with_infinity, bool, "with_infinity"))
+    points: tuple[int, ...] = ()
+    with_infinity: bool = False
+    convert = {
+        "points": lambda points: tuple(sorted({natural(p, "closed-set points must be naturals >= 1") for p in points})),
+        "with_infinity": lambda x: of_type(x, bool, "with_infinity"),
+    }
 
     def contains(self, p) -> bool:
         if p is INFINITY:
@@ -180,10 +184,8 @@ class IdealSpec:
 
     zero_set: ClosedSet
     neighbourhood: bool
-
-    def __init__(self, zero_set, neighbourhood):
-        object.__setattr__(self, "zero_set", of_type(zero_set, ClosedSet, "zero set"))
-        object.__setattr__(self, "neighbourhood", of_type(neighbourhood, bool, "neighbourhood"))
+    convert = {"zero_set": lambda x: of_type(x, ClosedSet, "zero set"),
+               "neighbourhood": lambda x: of_type(x, bool, "neighbourhood")}
 
     @classmethod
     def m_at(cls, point) -> "IdealSpec":
@@ -435,14 +437,13 @@ class DyadicDecay(Element):
     the staircase stays exact.
     """
 
-    coefficient: Fraction
+    coefficient: Fraction = Fraction(1)
     limit = Fraction(0)
+    convert = {"coefficient": rational}
 
-    def __init__(self, coefficient=1):
-        c = rational(coefficient)
-        if c == 0:
+    def _check(self):
+        if self.coefficient == 0:
             raise ValueError("the staircase coefficient must be nonzero")
-        object.__setattr__(self, "coefficient", c)
 
     def _at(self, n: int) -> Fraction:
         return self.coefficient / (1 << n.bit_length())
@@ -571,13 +572,6 @@ def _max_ratio(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
         if abs(p) * bq > bp * q:
             bp, bq = abs(p), q
     return bp, bq
-
-
-def check_horizon(h) -> int:
-    """h as a scan horizon, the same on every tier: 0 is the empty window, below it a ValueError."""
-    if (h := operator.index(h)) < 0:
-        raise ValueError("horizon must be >= 0")
-    return h
 
 
 def _check_window(start: int, end: int) -> None:

@@ -75,26 +75,25 @@ def echo(value: object) -> str:
 
 
 def frozen(cls):
-    """`dataclass(frozen=True)` without generated code: the fields are the annotated names down the MRO, a class
-    attribute so named a default, and a class's `convert` maps a field to the function that makes the stored value
-    from the given one.  Every __init__ but EventuallyConstant's stores them by object.__setattr__."""
+    """`dataclass(frozen=True)` without importing dataclasses: the fields are the annotated names down the MRO,
+    a class attribute so named a default, and a class's `convert` maps a field to the function that makes the
+    stored value from the given one.  A class without its own __init__ (all but EventuallyConstant) gets one,
+    compiled once from its field names, with a native signature: one straight-line object.__setattr__ per field
+    (a loop over the fields measured slower), then the class's `_check(self)`, if any, for a rule over fields."""
     names = tuple(dict.fromkeys(n for c in reversed(cls.__mro__) for n in c.__dict__.get("__annotations__", ())))
     defaults, fields = {n: getattr(cls, n) for n in names if hasattr(cls, n)}, operator.attrgetter(*names)
-    convert = cls.__dict__.get("convert", {})
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(names):  # positional construction skips the binding
-            given = {**defaults, **dict(zip(names, args)), **kwargs}
-            if len(args) > len(names) or given.keys() != set(names) or kwargs.keys() & names[: len(args)]:
-                raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
-            args = map(given.get, names)
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, convert[name](value) if name in convert else value)
+    if "__init__" not in cls.__dict__:
+        convert, check = cls.__dict__.get("convert", {}), getattr(cls, "_check", None)
+        scope = {"defaults": defaults, "_check": check, **{f"convert_{n}": f for n, f in convert.items()}}
+        lines = [f"def __init__(self, {', '.join(f'{n}=defaults[{n!r}]' if n in defaults else n for n in names)}):"]
+        lines += [f"    object.__setattr__(self, {n!r}, {f'convert_{n}({n})' if n in convert else n})" for n in names]
+        exec("\n".join(lines + ["    _check(self)"] * bool(check)), scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # so that an arity error names the class
 
     def immutable(self, name, *value):
         raise AttributeError(f"{cls.__name__} is immutable: cannot set or delete {name!r}")
 
-    cls.__init__ = cls.__dict__.get("__init__", __init__)
     cls.__eq__ = lambda self, other: fields(self) == fields(other) if type(other) is type(self) else NotImplemented
     cls.__hash__ = lambda self: hash(fields(self))
     cls.__repr__ = lambda self: f"{cls.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
@@ -160,6 +159,7 @@ class TailInf:
     at_index: int
     value: Fraction
     attained_at: int
+    convert = {"value": rational}
 
 
 @frozen
@@ -174,7 +174,8 @@ class WeightClassification(Record):
     liminf: Fraction | None
     nondecreasing: bool
     fields = "bounded", "sup", "liminf_finite", "liminf", "nondecreasing", "diverges_to_infinity"
-    convert = dict.fromkeys(("sup", "liminf"), optional(rational))
+    convert = {**dict.fromkeys(("sup", "liminf"), optional(rational)),
+               "nondecreasing": lambda x: of_type(x, bool, "nondecreasing")}
 
     @property
     def bounded(self) -> bool:
@@ -220,12 +221,6 @@ class LeafForm:
     den: int
     head: tuple[int, ...]
     leaves: tuple[tuple[int, int, int, int], ...]
-
-    def __init__(self, start, den, head, leaves):  # straight-line stores: a family builds one per node
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "leaves", leaves)
 
     @functools.cached_property
     def by_modulus(self) -> dict[int, dict[int, tuple[int, int]]]:
@@ -494,12 +489,11 @@ def dyadic_jump_tail(w: WeightFamily, start: int) -> Fraction:
 class Constant(WeightFamily):
     value: Fraction
     tag, fields = "constant", {"value": Fraction}
+    convert = {"value": rational}
 
-    def __init__(self, value):
-        v = rational(value)
-        if v.numerator <= 0:
+    def _check(self):
+        if self.value.numerator <= 0:
             raise ValueError("constant weight must be positive")
-        object.__setattr__(self, "value", v)
 
     def _at(self, n: int) -> Fraction:
         return self.value
@@ -516,13 +510,12 @@ class Linear(WeightFamily):
     offset: Fraction
     slope: Fraction
     tag, fields = "linear", {"offset": Fraction, "slope": Fraction}
+    convert = dict.fromkeys(("offset", "slope"), rational)
 
-    def __init__(self, offset, slope):
-        a, b = rational(offset), rational(slope)
-        if a.numerator < 0 or b.numerator < 0 or not (a.numerator or b.numerator):
+    def _check(self):
+        a, b = self.offset.numerator, self.slope.numerator
+        if a < 0 or b < 0 or not (a or b):
             raise ValueError("linear weights need offset >= 0, slope >= 0, not both zero")
-        object.__setattr__(self, "offset", a)
-        object.__setattr__(self, "slope", b)
 
     def _at(self, n: int) -> Fraction:
         return self.offset + self.slope * n
@@ -538,14 +531,13 @@ class Interleave(WeightFamily):
 
     parts: tuple[WeightFamily, ...]
     tag, fields = "interleave", {"parts": [WeightFamily]}
+    convert = {"parts": tuple}
 
-    def __init__(self, parts):
-        parts = tuple(parts)
-        if len(parts) < 2:
+    def _check(self):
+        if len(self.parts) < 2:
             raise ValueError("interleave needs modulus >= 2")
-        if not all(isinstance(p, WeightFamily) for p in parts):
+        if not all(isinstance(p, WeightFamily) for p in self.parts):
             raise ValueError("interleave parts must be weight families")
-        object.__setattr__(self, "parts", parts)
 
     @property
     def modulus(self) -> int:
@@ -607,15 +599,13 @@ class PrefixOverride(WeightFamily):
     prefix: tuple[Fraction, ...]
     tail: WeightFamily
     tag, fields = "prefix", {"prefix": [Fraction], "tail": WeightFamily}
+    convert = {"prefix": lambda values: tuple(map(rational, values))}
 
-    def __init__(self, prefix, tail):
-        pre = tuple(map(rational, prefix))
-        if any(v.numerator <= 0 for v in pre):
+    def _check(self):
+        if any(v.numerator <= 0 for v in self.prefix):
             raise ValueError("prefix weights must be positive")
-        if not isinstance(tail, WeightFamily):
+        if not isinstance(self.tail, WeightFamily):
             raise ValueError("prefix tail must be a weight family")
-        object.__setattr__(self, "prefix", pre)
-        object.__setattr__(self, "tail", tail)
 
     def _at(self, n: int) -> Fraction:
         return self.prefix[n - 1] if n <= len(self.prefix) else self.tail._at(n)

@@ -10,21 +10,24 @@ tree (`ast`): each `and` or `or` between two operands, and each `not`.  Its
 mutant swaps that one operator for its partner in SWAPS (`and` for `or` and
 back), or drops it (a `not`), in the source text, so every other line and
 column stays as it was.  Each mutant is written into a temporary copy of
-`src/` and `tests/`, and the
-named tests (default: all of `tests/`) run there under pytest with `-x`,
-the hypothesis seed `--seed` and a timeout: `--timeout` seconds, or by
-default ten times the wall time of the unmutated run and at least a
-minute, so a mutant that loops without end costs what ten test runs cost.
-A failing run or a timeout kills the mutant; a passing run means it
-survived, and no test checks the result that the operator decides.  A
-mutant listed in EQUIVALENT (by module, the code on its line and the swap)
-computes the same results as the original, so it is reported with its
-reason and not run; an entry of a named module that matches no site is
-stale (its code was rewritten), and the run lists it and exits 1 before
-running anything.  `--sample N` runs N
-sites drawn with `--seed` instead of all of them.  The run prints one line
-per site and a summary, and exits 1 when a mutant outside EQUIVALENT
-survives.  The file is not a test module: pytest does not collect it.
+`src/` and `tests/`, and the tests run there under pytest with `-x`: the
+`--tests` paths, or by default the mutated module's own
+`tests/test_<module>.py` when there is one and then, if those pass, all of
+`tests/`.  Most mutants die in the first, shorter run, and the verdict is
+the one the whole suite gives.  Each run has the hypothesis seed `--seed`
+and a timeout: `--timeout` seconds, or by default ten times the wall time
+of the unmutated run of the whole suite and at least a minute, so a mutant
+that loops without end costs what ten test runs cost.  A failing run or a
+timeout kills the mutant; a passing run means it survived, and no test
+checks the result that the operator decides.  A mutant listed in
+EQUIVALENT (by module, the code on its line and the swap) computes the same
+results as the original, so it is reported with its reason and not run; an
+entry of a named module that matches no site is stale (its code was
+rewritten), and the run lists it and exits 1 before running anything.
+`--sample N` runs N sites drawn with `--seed` instead of all of them.  The
+run prints one line per site and a summary, and exits 1 when a mutant
+outside EQUIVALENT survives.  Ctrl-C stops the current test run and removes
+the copy.  The file is not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -85,10 +88,6 @@ EQUIVALENT = {
     ("algebra.py", "_max_ratio", "if abs(p) * bq {> -> >=} bp * q:"):
         "p * bq == bp * q means |p|/q equals the best ratio, and both pairs are in lowest terms, so the "
         "pair taken is the same",
-    ("weights.py", "frozen.__init__",
-     "if len(args) {> -> >=} len(names) or given.keys() != set(names) or kwargs.keys() & names[: len(args)]:"):
-        "with as many arguments as fields the branch runs only with keywords, and each keyword repeats "
-        "a positional field or names none, so both versions raise TypeError",
     ("weights.py", "Interleave._leaves", "if n {< -> <=} start:"):
         "at n == start the slice head[start - 1 : start - 1] and range(start, start) are both empty",
     ("weights.py", "Interleave._leaves",
@@ -219,13 +218,24 @@ def run_tests(copy: Path, tests: list[str], seed: int, timeout: float) -> str:
     )
     try:
         code = proc.wait(timeout=timeout)
-    except subprocess.TimeoutExpired:
+    except (subprocess.TimeoutExpired, KeyboardInterrupt) as stop:
         os.killpg(proc.pid, signal.SIGKILL)  # the whole group: CLI tests start their own processes
         proc.wait()
+        if isinstance(stop, KeyboardInterrupt):  # Ctrl-C: the run has its own session, so end it here
+            raise
         return "timeout"
     if code in (4, 5):  # a usage error or no test collected: the run says nothing about the mutant
         raise SystemExit(f"pytest exited {code} for {' '.join(tests)}")
     return "passed" if code == 0 else "failed"
+
+
+def runs_for(module: Path, tests: list[str] | None) -> list[list[str]]:
+    """The test paths of each run for a mutant of module, in order, a run only if the one before passed:
+    the given tests, or else the module's own test file, when there is one, and then all of tests/."""
+    if tests is not None:
+        return [tests]
+    own = f"tests/test_{module.stem}.py"
+    return [[own], ["tests"]] if (ROOT / own).is_file() else [["tests"]]
 
 
 def default_timeout(unmutated_s: float) -> float:
@@ -236,7 +246,9 @@ def default_timeout(unmutated_s: float) -> float:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+", type=Path, help="module files under src/ditkin")
-    parser.add_argument("--tests", nargs="+", default=["tests"], help="test paths or node ids (default: tests)")
+    parser.add_argument(
+        "--tests", nargs="+", help="test paths or node ids (default: the module's own test file, then tests)"
+    )
     parser.add_argument("--seed", type=int, default=0, help="hypothesis seed, and the draw of --sample")
     parser.add_argument("--sample", type=int, help="run this many sites, drawn with --seed")
     parser.add_argument(
@@ -260,7 +272,8 @@ def main(argv: list[str] | None = None) -> int:
             shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         began = time.monotonic()
-        if run_tests(copy, args.tests, args.seed, TIMEOUT_S if args.timeout is None else args.timeout) != "passed":
+        unmutated = args.tests or ["tests"]
+        if run_tests(copy, unmutated, args.seed, TIMEOUT_S if args.timeout is None else args.timeout) != "passed":
             raise SystemExit("the unmutated tests do not pass")
         unmutated_s = time.monotonic() - began
         timeout = default_timeout(unmutated_s) if args.timeout is None else args.timeout
@@ -276,7 +289,9 @@ def main(argv: list[str] | None = None) -> int:
             target.write_bytes(site.mutated)
             began = time.monotonic()
             try:
-                outcome = run_tests(copy, args.tests, args.seed, timeout)
+                for tests in runs_for(site.path, args.tests):
+                    if (outcome := run_tests(copy, tests, args.seed, timeout)) != "passed":
+                        break
             finally:
                 target.write_bytes(original)
             verdict = "survived" if outcome == "passed" else "killed"

@@ -16,8 +16,9 @@ string or a `Decimal`, raises `TypeError`.  A weight family, an ideal spec
 or a closed set is checked at the public entry that takes it: any other
 object raises `TypeError`, not an `AttributeError` from deep inside.  So are
 the parts of the last two when they are built: an ideal spec's zero set, and
-the two flags, which must be bools.  A scan horizon is an integer >= 0 on
-every tier, with the same error on each.
+the two flags, which must be bools, as must a classification's.  A scan
+horizon is an integer >= 0 on every tier, with the same error on each, and
+so is a hand-built norm result's, which None leaves exact.
 """
 
 from decimal import Decimal
@@ -40,6 +41,7 @@ from ditkin import (
     NormResult,
     PrefixOverride,
     RuleBased,
+    WeightClassification,
     ditkin_approximation,
     prefix_indicator,
     property_report,
@@ -323,11 +325,12 @@ def test_structured_argument_is_accepted(name):
 
 
 # The two flags of a closed set and an ideal spec are bools: "no" is truthy, and
-# would otherwise put ∞ in the set.
+# would otherwise put ∞ in the set.  So is a classification's, which is written out.
 FLAGS = {
     "with_infinity": lambda x: ClosedSet((), x),
     "with_infinity_by_keyword": lambda x: ClosedSet(with_infinity=x),
     "neighbourhood": lambda x: IdealSpec(ClosedSet((2,)), x),
+    "nondecreasing": lambda x: WeightClassification(None, 1, x),
 }
 
 
@@ -386,6 +389,8 @@ HORIZONED = {
     "residual_diagnostics_no_index": lambda h: residual_diagnostics(prefix_indicator(3), Constant(1), [], h),
     "ditkin_approximation_no_search": _search_nothing,
     "norm_one": lambda h: ONE.norm(Constant(1), h),
+    # and a hand-built interval, whose horizon None marks an exact result
+    "norm_result": lambda h: NormResult(0, 1, h),
 }
 
 
@@ -401,7 +406,9 @@ def test_negative_horizon_raises_value_error(name, h):
 )
 def test_non_integer_horizon_raises_the_same_type_error_on_every_tier(h):
     messages = set()
-    for call in HORIZONED.values():
+    for name, call in HORIZONED.items():
+        if h is None and name == "norm_result":
+            continue
         with pytest.raises(TypeError) as info:
             call(h)
         messages.add(str(info.value))
@@ -417,5 +424,6 @@ def test_integer_horizon_is_accepted(name, h):
 def test_a_bool_horizon_is_written_as_an_int():
     # True is the integer 1, as for an index
     assert _rule_based().norm(Constant(1), horizon=True) == _rule_based().norm(Constant(1), horizon=1)
-    for result in (_rule_based().norm(Constant(1), horizon=True), residual_norm(_rule_based(), Constant(1), 2, True)):
+    results = _rule_based().norm(Constant(1), horizon=True), residual_norm(_rule_based(), Constant(1), 2, True)
+    for result in (*results, NormResult(0, 1, True)):
         assert type(result.horizon) is int and result.to_obj()["horizon"] == 1

@@ -1,5 +1,8 @@
 """The mutation run's table of equivalent mutants names sites that exist."""
 
+import signal
+import subprocess
+
 import pytest
 
 import mutate
@@ -40,6 +43,72 @@ def test_the_mutants_timeout_comes_from_the_unmutated_run_unless_given(monkeypat
     assert given == timeouts
     out = capsys.readouterr().out
     assert f"unmutated run 13.0 s, timeout per mutant {timeouts[1]:.0f} s" in out and "1 killed" in out
+
+
+@pytest.mark.parametrize(
+    "module, tests, runs",
+    [
+        ("weights.py", None, [["tests/test_weights.py"], ["tests"]]),
+        ("approx_identity.py", None, [["tests/test_approx_identity.py"], ["tests"]]),
+        ("errors.py", None, [["tests"]]),  # there is no tests/test_errors.py
+        ("weights.py", ["tests/test_cli.py", "tests/test_golden.py"], [["tests/test_cli.py", "tests/test_golden.py"]]),
+    ],
+)
+def test_a_mutant_runs_its_module_tests_first_unless_tests_are_given(module, tests, runs):
+    assert mutate.runs_for(SRC / module, tests) == runs
+
+
+@pytest.mark.parametrize("outcome, runs", [("passed", 3), ("failed", 2), ("timeout", 2)])
+def test_the_whole_suite_runs_only_once_the_module_tests_pass(monkeypatch, capsys, outcome, runs):
+    given = []
+
+    def run_tests(copy, tests, seed, timeout):
+        given.append(tests)
+        return outcome if given[1:] else "passed"  # the unmutated run passes
+
+    monkeypatch.setattr(mutate, "run_tests", run_tests)
+    assert mutate.main([str(SRC / "classifier.py"), "--sample", "1", "--timeout", "60"]) == (outcome == "passed")
+    assert given == [["tests"], ["tests/test_classifier.py"], ["tests"]][:runs]
+    assert ("1 survived" if outcome == "passed" else "1 killed") in capsys.readouterr().out
+
+
+class _Interrupted:
+    """A test run that Ctrl-C interrupts while it is awaited, and that ends once killed."""
+
+    pid = 4321
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def wait(self, timeout=None):
+        if timeout is not None:
+            raise KeyboardInterrupt
+        return -signal.SIGKILL
+
+
+def test_ctrl_c_kills_the_test_run_and_stops(monkeypatch, tmp_path):
+    killed = []
+    monkeypatch.setattr(subprocess, "Popen", _Interrupted)
+    monkeypatch.setattr(mutate.os, "killpg", lambda pid, sig: killed.append((pid, sig)))
+    with pytest.raises(KeyboardInterrupt):
+        mutate.run_tests(tmp_path, ["tests"], 0, 60.0)
+    assert killed == [(_Interrupted.pid, signal.SIGKILL)]
+
+
+def test_ctrl_c_leaves_no_copy_behind(monkeypatch, tmp_path):
+    copies = []
+
+    def run_tests(copy, tests, seed, timeout):  # the unmutated run passes, and Ctrl-C comes in the mutant's
+        copies.append(copy)
+        if copies[1:]:
+            raise KeyboardInterrupt
+        return "passed"
+
+    monkeypatch.setattr(mutate, "run_tests", run_tests)
+    monkeypatch.setattr(mutate.tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(KeyboardInterrupt):
+        mutate.main([str(SRC / "classifier.py"), "--sample", "1"])
+    assert copies[0].parent == tmp_path and list(tmp_path.iterdir()) == []
 
 
 def test_boolean_connectives_swap_and_a_not_is_dropped(tmp_path):

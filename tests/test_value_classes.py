@@ -5,8 +5,10 @@ deepcopy round trips, and per-object caches that stay out of all of these;
 and the JSON form of each class that has one, pinned where no golden prints it."""
 
 import copy
+import inspect
 import json
 import pickle
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -169,6 +171,51 @@ class TestValueClass:
             assert type(b) is type(a) and b == a and hash(b) == hash(a) and repr(b) == repr(a)
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_an_arity_error_names_the_class(name):
+    a = make(name)
+    for call in (lambda: type(a)(*vars(a).values(), 0, 0, 0), lambda: type(a)(no_such_field=0)):
+        with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) "):
+            call()
+
+
+# a value that each check of a constructor rejects, as positional arguments: the same
+# arguments by keyword raise the same exception with the same message (with_infinity's
+# and the zero set's keyword cases are in test_at_contract.py)
+REJECTED = {
+    "constant_not_positive": (Constant, (0,), ValueError),
+    "constant_float": (Constant, (0.5,), TypeError),
+    "linear_both_zero": (Linear, (0, 0), ValueError),
+    "linear_negative_slope": (Linear, (1, -1), ValueError),
+    "linear_str": (Linear, (1, "1"), TypeError),
+    "interleave_one_part": (Interleave, ((Constant(1),),), ValueError),
+    "interleave_not_a_family": (Interleave, ((Constant(1), 2),), ValueError),
+    "interleave_not_iterable": (Interleave, (3,), TypeError),
+    "prefix_not_positive": (PrefixOverride, ((1, 0), Constant(1)), ValueError),
+    "prefix_float": (PrefixOverride, ((1, 0.5), Constant(1)), TypeError),
+    "prefix_tail_not_a_family": (PrefixOverride, ((1,), 2), ValueError),
+    "norm_result_out_of_order": (NormResult, (2, 1), ValueError),
+    "norm_result_float": (NormResult, (0.5, 1), TypeError),
+    "norm_result_negative_horizon": (NormResult, (1, 2, -3), ValueError),
+    "norm_result_str_horizon": (NormResult, (1, 2, "x"), TypeError),
+    "closed_set_point": (ClosedSet, ((0,), False), ValueError),
+    "ideal_spec_flag": (IdealSpec, (ClosedSet(), 1), TypeError),
+    "dyadic_zero": (DyadicDecay, (0,), ValueError),
+    "dyadic_float": (DyadicDecay, (0.5,), TypeError),
+    "tail_infimum_float": (TailInf, (1, 0.5, 1), TypeError),
+    "classification_flag": (WeightClassification, (None, 1, "yes"), TypeError),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED)
+def test_a_bad_value_by_keyword_fails_as_it_does_positionally(case):
+    cls, args, error = REJECTED[case]
+    with pytest.raises(error) as positional:
+        cls(*args)
+    with pytest.raises(error, match=f"^{re.escape(str(positional.value))}$"):
+        cls(**dict(zip(inspect.signature(cls).parameters, args)))
+
+
 def test_defaults_and_keywords():
     s = AiSelection(indices=(1,), norms=(F(2),))
     assert s.liminf is None and s.slack is None and s.kind == "running_min"
@@ -284,6 +331,7 @@ RATIONAL_FIELDS = {
     "classification_liminf": (lambda q: WeightClassification(None, q, False), True),
     "report_unboundedness": (lambda q: PropertyReport(WeightClassification(None, 0, True), None, ((3, q),)), False),
     "witness_norm": (lambda q: RelativeUnitWitness(INFINITY, 1, EventuallyConstant((1,)), q), False),
+    "tail_infimum_value": (lambda q: TailInf(1, q, 1), False),
 }
 
 
