@@ -47,8 +47,8 @@ from .weights import (
     rational,
 )
 
-# what each report field rests on; "established" fields hold for every family
-# in this class and are recorded rather than recomputed
+# what each report field rests on, in the report's key order; "established" fields
+# hold for every family in this class and are recorded rather than recomputed
 CITATIONS = {
     "ditkin": "established: every algebra in this family satisfies Ditkin's condition",
     "strongly_regular": "established: Ditkin's condition implies strong regularity",
@@ -74,11 +74,7 @@ CITATIONS = {
         "so unbounded weights defeat any uniform bound"
     ),
 }
-
-
-# the report's truth values, in output order
-PROPERTIES = ("ditkin", "strongly_regular", "spectral_synthesis", "separable",
-              "strong_ditkin", "m_infinity_has_bai", "bru_bade", "bru_dales")
+PROPERTIES = tuple(CITATIONS)[:8]  # the report's truth values
 
 
 @frozen
@@ -95,7 +91,7 @@ class PropertyReport(Record):
     bru_dales = property(lambda self: self.classification.bounded)
     dales_bound = property(lambda self: None if self.classification.sup is None else 2 * self.classification.sup + 1)
     citations = CITATIONS
-    fields = *PROPERTIES, "dales_bound", "bade_witness", "unboundedness_witness", "classification", "citations"
+    fields = *CITATIONS, "classification", "citations"
     convert = {"unboundedness_witness": optional(lambda points: tuple((n, rational(a)) for n, a in points))}
 
 

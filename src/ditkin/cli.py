@@ -106,21 +106,24 @@ def _repro_paper(args):
     return {"all_pass": all_pass, "checks": checks}, code
 
 
-# renderers: result -> text
+# renderers: result -> text, which ends in a newline
 def _json(result) -> str:
-    return json.dumps(json_form(result), indent=2)
+    return json.dumps(json_form(result), indent=2) + "\n"
+
+
+def _key_lines(obj: dict, *keys: str, **formats: Callable) -> str:
+    """A `key = value` line for each of keys, the value read from obj, a result's written form (to_obj()),
+    and put through the key's formatter in formats, if it has one."""
+    return "".join(f"{key} = {formats.get(key, str)(obj[key])}\n" for key in keys)
 
 
 def _classify_table(report) -> str:
     obj = report.to_obj()
     cls = obj["classification"]
-    lines = [f"{key} = {obj[key]}" for key in (*PROPERTIES, "dales_bound")] + [
-        f"bounded = {cls['bounded']} (sup = {cls['sup']})",
-        f"liminf = {cls['liminf'] if cls['liminf_finite'] else 'infinite'}",
-        f"nondecreasing = {cls['nondecreasing']}",
-        f"diverges_to_infinity = {cls['diverges_to_infinity']}",
-    ]
-    return "\n".join(lines) + "\n"
+    return (_key_lines(obj, *PROPERTIES, "dales_bound")
+            + f"bounded = {cls['bounded']} (sup = {cls['sup']})\n"
+            + f"liminf = {cls['liminf'] if cls['liminf_finite'] else 'infinite'}\n"
+            + _key_lines(cls, "nondecreasing", "diverges_to_infinity"))
 
 
 def _residuals_table(rows) -> str:
@@ -130,16 +133,6 @@ def _residuals_table(rows) -> str:
         for row in rows
     ]
     return "\n".join(lines) + "\n"
-
-
-def _select_ai_table(sel) -> str:
-    obj = sel.to_obj()
-    return f"kind = {obj['kind']}\nindices = {obj['indices']}\nnorms = {obj['norms']}\n"
-
-
-def _witness_table(witness) -> str:
-    obj = witness.to_obj()
-    return f"point = {obj['point']}\nnorm = {obj['norm']}\nelement = {json.dumps(obj['element'])}\n"
 
 
 def _repro_table(result) -> str:
@@ -168,18 +161,19 @@ COMMANDS = {
         _classify, {"json": _json, "table": _classify_table}),
     "norm": Command(
         "norm of an element under a weight family", "JSON file with fields: weights, element",
-        _norm, {"json": _json, "table": lambda res: f"norm = {res}\n"}),
+        _norm, {"json": _json, "table": lambda norm: _key_lines({"norm": norm}, "norm")}),
     "residuals": Command(
         "residual diagnostics at given indices", "JSON file with fields: weights, element, indices",
         _residuals, {"json": _json, "csv": diagnostics_to_csv, "table": _residuals_table}),
     "select-ai": Command(
         "select an approximate-identity subsequence", "JSON file holding the weight family",
-        _select_ai, {"json": _json, "table": _select_ai_table},
+        _select_ai, {"json": _json, "table": lambda sel: _key_lines(sel.to_obj(), "kind", "indices", "norms")},
         (("--count", dict(type=int, default=DEFAULT_SELECTION_COUNT)),
          ("--slack", dict(default=None, help="explicit slack p/q over the liminf")))),
     "witness": Command(
         "relative-unit witness at a point", "JSON file with fields: weights, point, excluded",
-        _witness, {"json": _json, "table": _witness_table}),
+        _witness, {"json": _json,
+                   "table": lambda wit: _key_lines(wit.to_obj(), "point", "norm", "element", element=json.dumps)}),
     "repro-paper": Command(
         "verify the built-in counterexample family against its known exact values", None,
         _repro_paper, {"table": _repro_table, "json": _json},
@@ -216,7 +210,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result, code = cmd.compute(args)
         text = cmd.renderers[args.format](result)
-        text = text if text.endswith("\n") else text + "\n"
         if args.output:
             try:
                 Path(args.output).write_text(text, encoding="utf-8")

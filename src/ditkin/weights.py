@@ -531,13 +531,11 @@ class Interleave(WeightFamily):
 
     parts: tuple[WeightFamily, ...]
     tag, fields = "interleave", {"parts": [WeightFamily]}
-    convert = {"parts": tuple}
+    convert = {"parts": lambda parts: tuple(of_type(p, WeightFamily, "interleave part") for p in parts)}
 
     def _check(self):
         if len(self.parts) < 2:
             raise ValueError("interleave needs modulus >= 2")
-        if not all(isinstance(p, WeightFamily) for p in self.parts):
-            raise ValueError("interleave parts must be weight families")
 
     @property
     def modulus(self) -> int:
@@ -599,13 +597,12 @@ class PrefixOverride(WeightFamily):
     prefix: tuple[Fraction, ...]
     tail: WeightFamily
     tag, fields = "prefix", {"prefix": [Fraction], "tail": WeightFamily}
-    convert = {"prefix": lambda values: tuple(map(rational, values))}
+    convert = {"prefix": lambda values: tuple(map(rational, values)),
+               "tail": lambda tail: of_type(tail, WeightFamily, "prefix tail")}
 
     def _check(self):
         if any(v.numerator <= 0 for v in self.prefix):
             raise ValueError("prefix weights must be positive")
-        if not isinstance(self.tail, WeightFamily):
-            raise ValueError("prefix tail must be a weight family")
 
     def _at(self, n: int) -> Fraction:
         return self.prefix[n - 1] if n <= len(self.prefix) else self.tail._at(n)
@@ -644,8 +641,9 @@ def weight_family_from_obj(obj: object, path: str = "weights", depth: int = 0) -
         if key not in obj:
             raise SchemaError(f"{path}.{key}: missing required field")
         args.append(_read(kind, obj[key], f"{path}.{key}", depth))
-    if cls is Interleave and "modulus" in obj and obj["modulus"] != len(args[0]):  # written by to_obj, not a field
-        raise SchemaError(f"{path}.modulus: {echo(obj['modulus'])} does not match {len(args[0])} parts")
+    # modulus is written by to_obj but is not a field: on input it is only checked
+    if cls is Interleave and "modulus" in obj and not (type(m := obj["modulus"]) is int and m == len(args[0])):
+        raise SchemaError(f"{path}.modulus: {echo(m)} is not the parts count, the integer {len(args[0])}")
     return _checked(cls, args, path)
 
 

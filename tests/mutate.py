@@ -16,10 +16,14 @@ column stays as it was.  Each mutant is written into a temporary copy of
 `tests/`.  Most mutants die in the first, shorter run, and the verdict is
 the one the whole suite gives.  Each run has the hypothesis seed `--seed`
 and a timeout: `--timeout` seconds, or by default ten times the wall time
-of the unmutated run of the whole suite and at least a minute, so a mutant
-that loops without end costs what ten test runs cost.  A failing run or a
-timeout kills the mutant; a passing run means it survived, and no test
-checks the result that the operator decides.  A mutant listed in
+of the unmutated run of the whole suite and at least a minute.  Each test
+in a run has a tenth of that (by default the unmutated run's wall time and
+at least 6 s), past which pytest's faulthandler ends the run as a failure,
+so a mutant that loops without end in a test costs that test's limit.
+After every run its process group is killed, so no process that a test
+started outlives it.  A failing run or a timeout kills the mutant; a
+passing run means it survived, and no test checks the result that the
+operator decides.  A mutant listed in
 EQUIVALENT (by module, the code on its line and the swap) computes the same
 results as the original, so it is reported with its reason and not run; an
 entry of a named module that matches no site is stale (its code was
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import os
 import random
 import re
@@ -206,8 +211,10 @@ def _limit_memory() -> None:
 
 
 def run_tests(copy: Path, tests: list[str], seed: int, timeout: float) -> str:
-    """'passed', 'failed' or 'timeout' for the named tests in the copy."""
+    """'passed', 'failed' or 'timeout' for the named tests in the copy; a test that runs past
+    timeout / TIMEOUT_FACTOR seconds fails the run."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", f"--hypothesis-seed={seed}", *tests]
+    cmd += ["-o", f"faulthandler_timeout={timeout / TIMEOUT_FACTOR}", "-o", "faulthandler_exit_on_timeout=true"]
     # the EQUIVALENT table's own test reads the source text, which every mutant changes
     cmd.append("--ignore=tests/test_mutate.py")
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -218,12 +225,14 @@ def run_tests(copy: Path, tests: list[str], seed: int, timeout: float) -> str:
     )
     try:
         code = proc.wait(timeout=timeout)
-    except (subprocess.TimeoutExpired, KeyboardInterrupt) as stop:
-        os.killpg(proc.pid, signal.SIGKILL)  # the whole group: CLI tests start their own processes
-        proc.wait()
-        if isinstance(stop, KeyboardInterrupt):  # Ctrl-C: the run has its own session, so end it here
-            raise
+    except subprocess.TimeoutExpired:
         return "timeout"
+    finally:
+        # the whole group, after every run, and on Ctrl-C too, as the run has its own session:
+        # a CLI test's process can outlive a run that faulthandler ends
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
     if code in (4, 5):  # a usage error or no test collected: the run says nothing about the mutant
         raise SystemExit(f"pytest exited {code} for {' '.join(tests)}")
     return "passed" if code == 0 else "failed"

@@ -2,6 +2,8 @@
 
 import signal
 import subprocess
+import time
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +95,34 @@ def test_ctrl_c_kills_the_test_run_and_stops(monkeypatch, tmp_path):
     with pytest.raises(KeyboardInterrupt):
         mutate.run_tests(tmp_path, ["tests"], 0, 60.0)
     assert killed == [(_Interrupted.pid, signal.SIGKILL)]
+
+
+def _running(pid: int) -> bool:
+    """Whether process pid still runs: neither gone nor a zombie."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_a_test_that_loops_ends_its_run_at_the_per_test_limit(tmp_path):
+    # the test starts a child that sleeps, then loops: a run with a 20 s timeout has a 2 s limit per test,
+    # so it fails within seconds, and the child goes with it
+    (tmp_path / "test_loop.py").write_text(
+        "import subprocess, sys\n"
+        "def test_loops():\n"
+        "    child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(600)'])\n"
+        "    open('child.pid', 'w').write(str(child.pid))\n"
+        "    while True:\n"
+        "        pass\n"
+    )
+    began = time.monotonic()
+    assert mutate.run_tests(tmp_path, ["test_loop.py"], 0, 20.0) == "failed"
+    assert time.monotonic() - began < 10
+    pid = int((tmp_path / "child.pid").read_text())
+    while _running(pid) and time.monotonic() - began < 15:  # SIGKILL is sent, the child may not have died yet
+        time.sleep(0.05)
+    assert not _running(pid)
 
 
 def test_ctrl_c_leaves_no_copy_behind(monkeypatch, tmp_path):

@@ -189,11 +189,11 @@ REJECTED = {
     "linear_negative_slope": (Linear, (1, -1), ValueError),
     "linear_str": (Linear, (1, "1"), TypeError),
     "interleave_one_part": (Interleave, ((Constant(1),),), ValueError),
-    "interleave_not_a_family": (Interleave, ((Constant(1), 2),), ValueError),
+    "interleave_not_a_family": (Interleave, ((Constant(1), 2),), TypeError),
     "interleave_not_iterable": (Interleave, (3,), TypeError),
     "prefix_not_positive": (PrefixOverride, ((1, 0), Constant(1)), ValueError),
     "prefix_float": (PrefixOverride, ((1, 0.5), Constant(1)), TypeError),
-    "prefix_tail_not_a_family": (PrefixOverride, ((1,), 2), ValueError),
+    "prefix_tail_not_a_family": (PrefixOverride, ((1,), 2), TypeError),
     "norm_result_out_of_order": (NormResult, (2, 1), ValueError),
     "norm_result_float": (NormResult, (0.5, 1), TypeError),
     "norm_result_negative_horizon": (NormResult, (1, 2, -3), ValueError),

@@ -100,9 +100,9 @@ class TestEvaluation:
             Linear(offset, slope)
 
     def test_parts_must_be_families(self):
-        with pytest.raises(ValueError, match="interleave parts must be weight families"):
+        with pytest.raises(TypeError, match="^interleave part must be of type WeightFamily, got int$"):
             Interleave((Constant(1), 2))
-        with pytest.raises(ValueError, match="prefix tail must be a weight family"):
+        with pytest.raises(TypeError, match="^prefix tail must be of type WeightFamily, got int$"):
             PrefixOverride((1,), 2)
 
 
@@ -289,10 +289,20 @@ class TestSerialization:
                 {"family": "linear", "offset": "-1", "slope": "1"},
                 "weights: linear weights need offset >= 0, slope >= 0, not both zero",
             ),
+            ({"family": "linear", "offset": "1"}, "weights.slope: missing required field"),
+            (
+                {"family": "prefix", "prefix": ["1", "x"], "tail": {"family": "constant", "value": "1"}},
+                "weights.prefix[1]: not a rational 'p/q' string: 'x'",
+            ),
+            (
+                {"family": "interleave", "parts": [{"family": "constant"}, {"family": "constant", "value": "1"}]},
+                "weights.parts[0].value: missing required field",
+            ),
         ],
         ids=[
             "not_object", "parts_not_list", "prefix_not_list", "rational_parts",
             "list_tag", "dict_tag", "no_tag", "negative_offset",
+            "missing_field", "bad_prefix_item", "nested_missing_field",
         ],
     )
     def test_shape_rejections(self, obj, message):
@@ -339,13 +349,10 @@ class TestSerialization:
             weight_family_from_obj(obj)
 
     def test_modulus_mismatch(self):
-        obj = {
-            "family": "interleave",
-            "modulus": 3,
-            "parts": [{"family": "constant", "value": "1"}, {"family": "constant", "value": "2"}],
-        }
-        with pytest.raises(SchemaError, match="modulus"):
-            weight_family_from_obj(obj)
+        parts = [{"family": "constant", "value": "1"}, {"family": "constant", "value": "2"}]
+        for modulus in (3, 2.0, True, "2"):  # only the JSON integer 2 matches two parts
+            with pytest.raises(SchemaError, match=r"^weights\.modulus: .* is not the parts count, the integer 2$"):
+                weight_family_from_obj({"family": "interleave", "modulus": modulus, "parts": parts})
 
 
 def _constants(count):
