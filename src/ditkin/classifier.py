@@ -105,7 +105,8 @@ def property_report(w: WeightFamily) -> PropertyReport:
 
 
 def _unboundedness_points(w: WeightFamily, count: int) -> tuple[tuple[int, Fraction], ...]:
-    points = (w.first_above(Fraction(1 << i)) for i in range(count))  # each exists: w is unbounded
+    n = 1  # search i starts at point i - 1, since each alpha_j before it is <= 2^(i-1); each exists: w is unbounded
+    points = [n := w.first_above(Fraction(1 << i), n) for i in range(count)]
     return tuple((n, w.at(n)) for n in points)
 
 

@@ -9,8 +9,9 @@ the Chinese remainder theorem, in integers over one denominator.  That
 normal form, whose size follows the input, turns the asymptotic questions
 needed downstream (tail infimum, supremum, liminf, monotonicity, the dyadic
 jump sum) into finite exact integer computations, not numeric estimates.
-Each parsed value becomes a `Fraction` once; the leaf form is built from
-its integer numerator and denominator, with no `Fraction` arithmetic.
+Each distinct rational string of a document is parsed into a `Fraction` once;
+the leaf form is built from its integer numerator and denominator, with no
+`Fraction` arithmetic, and only the family asked keeps one.
 The dense *eventual form*, one arm per residue modulo the lcm of all
 interleave part counts, is kept as an independent oracle.
 """
@@ -271,9 +272,10 @@ def of_type(x, kind: type, name: str):
 
 class WeightFamily(Record):
     """Base class of the weight grammar; concrete families below.  Only this
-    module reads a normal form: every index search is a method here.  Each
-    family caches its integer leaf form (`_leaves`) and classification per
-    object, in the instance dict, so they take no part in __eq__ or __hash__.
+    module reads a normal form: every index search is a method here, at a cost of
+    O(head entries past at_or_after + leaves).  The family asked caches its integer leaf form
+    (`_leaves`) and classification in the instance dict, so they take no part in __eq__ or __hash__;
+    its sub-families hand theirs up through `_leaf_data` and keep none.
     Each declares its JSON form once, its `tag` and `fields` (key -> Fraction, WeightFamily,
     or [either] for a list), which weight_family_from_obj reads and to_obj writes after the tag."""
 
@@ -288,11 +290,15 @@ class WeightFamily(Record):
         return EventualForm(1, 1, (self._arm,))  # a grammar leaf: one arm, every index
 
     @functools.cached_property
-    def _leaves(self) -> LeafForm:
-        a, b = self._arm
+    def _leaves(self) -> LeafForm:  # cached on the family asked alone
+        start, den, head, leaves = self._leaf_data()
+        return LeafForm(start, den, tuple(head), tuple(leaves))
+
+    def _leaf_data(self) -> tuple[int, int, list[int], list[tuple[int, int, int, int]]]:
+        """The leaf form's start, den, head and leaves, built anew: a sub-family hands them up as plain data."""
+        a, b = self._arm  # a grammar leaf: one leaf, every index
         den = math.lcm(a.denominator, b.denominator)
-        leaf = 0, 1, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
-        return LeafForm(1, den, (), (leaf,))
+        return 1, den, [], [(0, 1, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))]
 
     def to_obj(self) -> dict:
         """The JSON form that weight_family_from_obj reads: the tag, then each declared field in order."""
@@ -305,7 +311,7 @@ class WeightFamily(Record):
         leaf past it passes on a progression up to or from where a + b*n crosses p/q."""
         form, at_or_after, t = self._leaves, natural(at_or_after), rational(t, "level")
         p, q = t.numerator * form.den, t.denominator
-        yield from (j for j, v in enumerate(form.values(range(at_or_after, form.start)), at_or_after) if op(q * v, p))
+        yield from (j for j, v in enumerate(form.head[at_or_after - 1 :], at_or_after) if op(q * v, p))
         base, heap = max(at_or_after, form.start), []
         for r, m, a, b in form.leaves:
             if b and op is not operator.eq:  # a growing leaf is <= t up to n = floor((p - q*a)/(q*b))
@@ -373,7 +379,7 @@ class WeightFamily(Record):
         only grow, so the top entry at or past lo is the least, and ties go to
         the smaller index."""
         form, lo = self._leaves, at_or_after
-        heap = [(v, j, -1) for j, v in enumerate(form.values(range(lo, form.start)), lo)]
+        heap = [(v, j, -1) for j, v in enumerate(form.head[lo - 1 :], lo)]
         base = max(lo, form.start)
         for i, (r, m, a, b) in enumerate(form.leaves):
             n = base + (r - base) % m
@@ -404,7 +410,7 @@ class WeightFamily(Record):
         least = min((a for a, b in zip(offsets, slopes) if not b), default=None)
         liminf = None if least is None else Fraction(least, form.den)
         nondecreasing = (
-            all(x <= y for x, y in pairwise(form.values(range(1, form.start + 1))))
+            all(x <= y for x, y in pairwise([*form.head, *form.values((form.start,))]))
             # with mixed slopes some step around the cycle of residues lowers it
             and slopes.count(slopes[0]) == len(slopes)
             and _steps_nondecreasing(form, slopes[0])
@@ -559,16 +565,15 @@ class Interleave(WeightFamily):
             arms[i :: self.modulus] = cycle * (modulus // self.modulus // period)
         return EventualForm(max(form.start for form in inner), modulus, tuple(arms))
 
-    @functools.cached_property
-    def _leaves(self) -> LeafForm:
-        M, leaves, forms = self.modulus, [], [p._leaves for p in self.parts]
-        den, start = math.lcm(*(form.den for form in forms)), max(form.start for form in forms)
+    def _leaf_data(self):
+        M, leaves, forms = self.modulus, [], [p._leaf_data() for p in self.parts]
+        den, start = math.lcm(*(form[1] for form in forms)), max(form[0] for form in forms)
         # D_w * alpha_n for n < start: part n % M's head before its start, past it the leaf holding n
         head = [0] * (start - 1)
-        for i, form in enumerate(forms):
-            c, k = den // form.den, (i or M) - 1  # head[k]: part i's first index
-            head[k : form.start - 1 : M] = [x * c for x in form.head[k::M]]
-            for r, m, a, b in form.leaves:
+        for i, (p_start, p_den, p_head, p_leaves) in enumerate(forms):
+            c, k = den // p_den, (i or M) - 1  # head[k]: part i's first index
+            head[k : p_start - 1 : M] = [x * c for x in p_head[k::M]]
+            for r, m, a, b in p_leaves:
                 # n = i (mod M) and n = r (mod m) meet iff i = r (mod gcd)
                 g = math.gcd(M, m)
                 if (i - r) % g:
@@ -581,10 +586,10 @@ class Interleave(WeightFamily):
                 t = (r - i) // g * pow(M // g, -1, m // g) % (m // g)  # n = i + M*t
                 r, a, b = i + M * t, a * c, b * c
                 leaves.append((r, lcm, a, b))
-                n = form.start + (r - form.start) % lcm  # the leaf's first index past the part's start
+                n = p_start + (r - p_start) % lcm  # the leaf's first index past the part's start
                 if n < start:
                     head[n - 1 : start - 1 : lcm] = [a + b * j for j in range(n, start, lcm)]
-        return LeafForm(start, den, tuple(head), tuple(leaves))
+        return start, den, head, leaves
 
     def to_obj(self) -> dict:
         return {"family": self.tag, "modulus": self.modulus} | super().to_obj()
@@ -611,14 +616,12 @@ class PrefixOverride(WeightFamily):
         form = eventual_form(self.tail)
         return EventualForm(max(form.start, len(self.prefix) + 1), form.modulus, form.arms)
 
-    @functools.cached_property
-    def _leaves(self) -> LeafForm:
-        form, k = self.tail._leaves, len(self.prefix)
-        den = math.lcm(form.den, *{v.denominator for v in self.prefix})
-        c = den // form.den
-        head = [v.numerator * (den // v.denominator) for v in self.prefix] + [x * c for x in form.head[k:]]
-        leaves = tuple((r, m, a * c, b * c) for r, m, a, b in form.leaves)
-        return LeafForm(max(form.start, k + 1), den, tuple(head), leaves)
+    def _leaf_data(self):
+        (start, tail_den, head, leaves), k = self.tail._leaf_data(), len(self.prefix)
+        den = math.lcm(tail_den, *{v.denominator for v in self.prefix})
+        c = den // tail_den
+        head = [v.numerator * (den // v.denominator) for v in self.prefix] + [x * c for x in head[k:]]
+        return max(start, k + 1), den, head, [(r, m, a * c, b * c) for r, m, a, b in leaves]
 
 
 _FAMILIES = {cls.tag: cls for cls in (Constant, Linear, Interleave, PrefixOverride)}
@@ -627,40 +630,45 @@ _EXPECTED = "{}, or {}".format(", ".join([*_FAMILIES][:-1]), [*_FAMILIES][-1])
 
 def weight_family_from_obj(obj: object, path: str = "weights", depth: int = 0) -> WeightFamily:
     """Parse a weight family from its JSON object form, with field-level errors: the tag
-    names the class, and the class's declared fields are read in order."""
-    if depth > MAX_FAMILY_DEPTH:
-        raise SchemaError(f"{path}: weight family nested deeper than {MAX_FAMILY_DEPTH} levels")
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object, got {type(obj).__name__}")
-    tag = obj.get("family")
-    cls = _FAMILIES.get(tag) if isinstance(tag, str) else None  # a list or dict tag is unhashable
-    if cls is None:
-        raise SchemaError(f"{path}.family: unknown tag {echo(tag)} (expected {_EXPECTED})")
-    args = []
-    for key, kind in cls.fields.items():
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}: missing required field")
-        args.append(_read(kind, obj[key], f"{path}.{key}", depth))
-    # modulus is written by to_obj but is not a field: on input it is only checked
-    if cls is Interleave and "modulus" in obj and not (type(m := obj["modulus"]) is int and m == len(args[0])):
-        raise SchemaError(f"{path}.modulus: {echo(m)} is not the parts count, the integer {len(args[0])}")
-    return _checked(cls, args, path)
+    names the class, and the class's declared fields are read in order.  Each distinct
+    rational string of the document is parsed once, as element_from_obj does."""
+    return _read(WeightFamily, obj, path, depth, {})
 
 
-def _read(kind, value: object, path: str, depth: int):
-    """A declared field's value of one kind: Fraction, WeightFamily, or a list of either."""
+def _read(kind, value: object, path: str, depth: int, memo: dict[str, Fraction]):
+    """A value of one kind: WeightFamily (depth deep), Fraction (memo: the document's parsed strings), or a list."""
     if kind is Fraction:
-        return parse_rational(value, path)
+        if type(value) is not str:  # strings alone are keys: 1, True and 1.0 are equal keys but not equal values
+            return parse_rational(value, path)
+        if (q := memo.get(value)) is None:
+            q = memo[value] = parse_rational(value, path)  # a rejected string is not kept
+        return q
     if kind is WeightFamily:
-        return weight_family_from_obj(value, path, depth + 1)
+        if depth > MAX_FAMILY_DEPTH:
+            raise SchemaError(f"{path}: weight family nested deeper than {MAX_FAMILY_DEPTH} levels")
+        if not isinstance(value, dict):
+            raise SchemaError(f"{path}: expected an object, got {type(value).__name__}")
+        tag = value.get("family")
+        cls = _FAMILIES.get(tag) if isinstance(tag, str) else None  # a list or dict tag is unhashable
+        if cls is None:
+            raise SchemaError(f"{path}.family: unknown tag {echo(tag)} (expected {_EXPECTED})")
+        args = []
+        for key, field in cls.fields.items():
+            if key not in value:
+                raise SchemaError(f"{path}.{key}: missing required field")
+            args.append(_read(field, value[key], f"{path}.{key}", depth + 1, memo))
+        # modulus is written by to_obj but is not a field: on input it is only checked
+        if cls is Interleave and "modulus" in value and not (type(m := value["modulus"]) is int and m == len(args[0])):
+            raise SchemaError(f"{path}.modulus: {echo(m)} is not the parts count, the integer {len(args[0])}")
+        return _checked(cls, args, path)
     if not isinstance(value, list):
         raise SchemaError(f"{path}: expected a list")
     if kind == [Fraction]:
         try:
-            return tuple(map(parse_rational, value))
+            return tuple([_read(Fraction, v, path, depth, memo) for v in value])
         except SchemaError:  # name the item only once a value is rejected
             pass
-    return tuple(_read(kind[0], v, f"{path}[{i}]", depth) for i, v in enumerate(value))
+    return tuple(_read(kind[0], v, f"{path}[{i}]", depth, memo) for i, v in enumerate(value))
 
 
 def _checked(cls, args, path: str):

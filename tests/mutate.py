@@ -93,9 +93,9 @@ EQUIVALENT = {
     ("algebra.py", "_max_ratio", "if abs(p) * bq {> -> >=} bp * q:"):
         "p * bq == bp * q means |p|/q equals the best ratio, and both pairs are in lowest terms, so the "
         "pair taken is the same",
-    ("weights.py", "Interleave._leaves", "if n {< -> <=} start:"):
+    ("weights.py", "Interleave._leaf_data", "if n {< -> <=} start:"):
         "at n == start the slice head[start - 1 : start - 1] and range(start, start) are both empty",
-    ("weights.py", "Interleave._leaves",
+    ("weights.py", "Interleave._leaf_data",
      "head[n - 1 : start {- -> +} 1 : lcm] = [a + b * j for j in range(n, start, lcm)]"):
         "head has start - 1 entries, so the slice stops there either way",
 }

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
 from ditkin import (
     ClosedSet,
@@ -22,7 +23,7 @@ from ditkin import (
     unbounded_nondivergent_family,
 )
 
-from _support import random_family
+from _support import random_family, weight_families
 
 ODD_EVEN_FAMILY, DYADIC = dyadic_counterexample()
 
@@ -62,6 +63,17 @@ class TestPropertyReport:
             assert alpha > Fraction(1 << i)
             # no smaller index already exceeds the threshold
             assert all(ODD_EVEN_FAMILY.at(j) <= Fraction(1 << i) for j in range(1, n))
+
+    @settings(deadline=None, max_examples=100)
+    @given(weight_families())
+    def test_unboundedness_witness_rows_on_random_families(self, w):
+        # each search starts at the last point: a point that passes several thresholds is each one's row
+        assume(not w.classify().bounded)
+        rows = property_report(w).unboundedness_witness
+        values = [w.at(j) for j in range(1, rows[-1][0] + 1)]
+        for i, (n, alpha) in enumerate(rows):
+            assert alpha == values[n - 1] > 1 << i
+            assert max(values[: n - 1], default=0) <= 1 << i  # no smaller index exceeds the threshold
 
     def test_consistency_on_random_families(self):
         rng = random.Random(20260810)

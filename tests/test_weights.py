@@ -30,8 +30,18 @@ from ditkin import (
     select_ai_subsequence,
     weight_family_from_obj,
 )
+from ditkin import weights
 from ditkin.algebra import ONE, NormResult
-from ditkin.weights import MAX_ARMS, MAX_FAMILY_DEPTH, dyadic_jump_tail, echo, eventual_form, json_form
+from ditkin.weights import (
+    MAX_ARMS,
+    MAX_FAMILY_DEPTH,
+    LeafForm,
+    WeightFamily,
+    dyadic_jump_tail,
+    echo,
+    eventual_form,
+    json_form,
+)
 
 from _support import (
     dense_dyadic_jump_tail,
@@ -354,6 +364,43 @@ class TestSerialization:
             with pytest.raises(SchemaError, match=r"^weights\.modulus: .* is not the parts count, the integer 2$"):
                 weight_family_from_obj({"family": "interleave", "modulus": modulus, "parts": parts})
 
+    def test_equal_strings_share_one_parse(self, monkeypatch):
+        # a string repeated across fields, lists and nesting levels is parsed once per document
+        parts = [{"family": "constant", "value": "3/4"}, {"family": "linear", "offset": "3/4", "slope": "1/2"}]
+        tail = {"family": "interleave", "parts": parts}
+        obj = {"family": "prefix", "prefix": ["1/2", "3/4", "1/2", 2, 2], "tail": tail}
+        parsed, parse = [], weights.parse_rational
+        monkeypatch.setattr(weights, "parse_rational", lambda value, path: parsed.append(value) or parse(value, path))
+        w = weight_family_from_obj(obj)
+        monkeypatch.undo()
+        assert parsed == ["1/2", "3/4", 2, 2]  # an integer is not a key: it is read each time
+        (a, b), (c, d) = (w.prefix[0], w.prefix[1]), (w.tail.parts[1].slope, w.tail.parts[0].value)
+        assert a is w.prefix[2] is c and b is d is w.tail.parts[1].offset
+        assert weight_family_from_obj(obj).prefix[0] is not a  # the memo lives for one call
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"family": "prefix", "prefix": [1, True], "tail": {"family": "constant", "value": "1"}},
+             'weights.prefix[1]: expected an exact rational such as "3/4", got True'),
+            ({"family": "prefix", "prefix": ["1", 1.0], "tail": {"family": "constant", "value": "1"}},
+             'weights.prefix[1]: expected an exact rational such as "3/4", got 1.0'),
+            ({"family": "prefix", "prefix": ["1"], "tail": {"family": "constant", "value": True}},
+             'weights.tail.value: expected an exact rational such as "3/4", got True'),
+            ({"family": "prefix", "prefix": ["2", "x", "2", "x"], "tail": {"family": "constant", "value": "x"}},
+             "weights.prefix[1]: not a rational 'p/q' string: 'x'"),
+            ({"family": "interleave", "parts": [{"family": "constant", "value": "1/0"}] * 2},
+             "weights.parts[0].value: not a rational 'p/q' string: '1/0'"),
+        ],
+        ids=["int_then_true", "string_then_float", "string_then_true_in_a_field", "bad_string_repeats",
+             "bad_string_in_two_parts"],
+    )
+    def test_memo_keeps_rejections_and_their_first_path(self, obj, message):
+        # 1, True and 1.0 are equal dict keys, so only strings are memo keys, and a rejection is never kept
+        with pytest.raises(SchemaError) as exc:
+            weight_family_from_obj(obj)
+        assert str(exc.value) == message
+
 
 def _constants(count):
     return Interleave(tuple(Constant(i + 1) for i in range(count)))
@@ -604,6 +651,40 @@ class TestLeafForm:
         w = weight_family_from_obj(obj)
         assert form == w._leaves and form.start == 5
         assert form.values(range(1, 40)) == [w.at(n) * form.den for n in range(1, 40)]
+
+    @settings(deadline=None, max_examples=100)
+    @given(weight_families())
+    def test_only_the_family_asked_keeps_a_cache(self, w):
+        subs = _sub_families(w)
+        before, fields = [dict(vars(p)) for p in subs], dict(vars(w))
+        w.classify(), w.tail_infimum(3), property_report(w)
+        assert set(vars(w)) - set(fields) == {"_leaves", "_classification"}
+        assert [vars(p) for p in subs] == before
+
+    @settings(deadline=None, max_examples=100)
+    @given(weight_families())
+    def test_each_sub_family_hands_up_its_own_form(self, w):
+        handed = {}
+
+        def recording(build):
+            def record(self):
+                handed[id(self)] = out = build(self)
+                return out
+            return record
+
+        with pytest.MonkeyPatch.context() as patch:
+            for cls in (WeightFamily, Interleave, PrefixOverride):
+                patch.setattr(cls, "_leaf_data", recording(vars(cls)["_leaf_data"]))
+            w._leaves
+        for p in _sub_families(w):  # what p handed up, read after the parent used it, is p's form on its own
+            start, den, head, leaves = handed[id(p)]
+            assert LeafForm(start, den, tuple(head), tuple(leaves)) == p._leaves
+
+
+def _sub_families(w):
+    """Every family nested in w, w itself left out."""
+    parts = w.parts if isinstance(w, Interleave) else (w.tail,) if isinstance(w, PrefixOverride) else ()
+    return [q for p in parts for q in (p, *_sub_families(p))]
 
 
 def _brute_first(hit, lo, found):
