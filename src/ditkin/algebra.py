@@ -585,6 +585,8 @@ _BLOCK = 32  # indices per block maximum in the rule-based memo, and runs per bl
 
 def element_to_obj(f: Element) -> dict:
     if isinstance(f, EventuallyConstant):
+        if len(f.ends) > MAX_RUNS:  # element_from_obj reads at most MAX_RUNS runs
+            raise SchemaError(f"an element of {len(f.ends)} runs has no serialized form: the cap is {MAX_RUNS} runs")
         body = {"prefix": f.prefix} if (f.ends or (0,))[-1] <= MAX_RUNS else {"runs": f.runs}
         return json_form({"kind": "eventually_constant", **body, "tail": f.tail})
     if isinstance(f, DyadicDecay) and f.coefficient == 1:

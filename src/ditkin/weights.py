@@ -12,8 +12,8 @@ jump sum) into finite exact integer computations, not numeric estimates.
 Each distinct rational string of a document is parsed into a `Fraction` once;
 the leaf form is built from its integer numerator and denominator, with no
 `Fraction` arithmetic, and only the family asked keeps one.
-The dense *eventual form*, one arm per residue modulo the lcm of all
-interleave part counts, is kept as an independent oracle.
+The dense *eventual form*, one arm per residue modulo the lcm of the leaf
+moduli, is a view of the leaf form that no query reads.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import count, pairwise
 from .errors import DivergentVariationError, SchemaError
 
 MAX_FAMILY_DEPTH = 64  # nesting budget of a parsed weight family
-MAX_ARMS = 1 << 16  # budget of a leaf modulus, and of the dense form's arms (lcm of all moduli)
+MAX_ARMS = 1 << 16  # budget of a leaf modulus, and of the dense view's arms (lcm of the leaf moduli)
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _ZERO = Fraction(0)
@@ -195,9 +195,10 @@ class WeightClassification(Record):
 class EventualForm:
     """Dense normal form valid for n >= start: alpha_n = arms[n % modulus] at n.
 
-    Each arm is an (offset, slope) pair with slope >= 0.  Its size is the
-    lcm of the interleave part counts, exponential in the input, so no query
-    reads it: it is the oracle that the leaf form is checked against.
+    Each arm is an (offset, slope) pair with slope >= 0, one tuple shared by
+    the residues of a leaf.  `eventual_form` reads it off the leaf form; its
+    size, the lcm of the leaf moduli, is exponential in the input, so no query
+    reads it.  The tests build their own from the grammar as an oracle.
     """
 
     start: int
@@ -215,7 +216,7 @@ class LeafForm:
     on the leaf (residue, modulus, offset, slope) whose class holds n.
 
     The leaves' classes partition the integers, every class is met by the
-    sequence, and every slope is >= 0; the start is the dense form's start.
+    sequence, and every slope is >= 0; `eventual_form` is a view of it.
     """
 
     start: int
@@ -285,9 +286,6 @@ class WeightFamily(Record):
 
     def _at(self, n: int) -> Fraction:  # alpha_n for a checked n
         raise NotImplementedError
-
-    def _flatten(self) -> EventualForm:
-        return EventualForm(1, 1, (self._arm,))  # a grammar leaf: one arm, every index
 
     @functools.cached_property
     def _leaves(self) -> LeafForm:  # cached on the family asked alone
@@ -442,7 +440,15 @@ def _steps_nondecreasing(form: LeafForm, b: int) -> bool:
 
 @functools.lru_cache(maxsize=0)  # hashing the family tree cost more than a hit saved; the bench reads cache_info()
 def eventual_form(w: WeightFamily) -> EventualForm:
-    return w._flatten()
+    """The dense form as a view of the leaf form: each leaf (r, m, a, b) fills arms[r::m] with one shared arm."""
+    form = w._leaves
+    modulus = math.lcm(*(m for _, m, _, _ in form.leaves))
+    if modulus > MAX_ARMS:
+        raise SchemaError(f"interleave: the eventual form would need {modulus} arms, over the cap of {MAX_ARMS}")
+    arms: list = [None] * modulus
+    for r, m, a, b in form.leaves:
+        arms[r::m] = [(Fraction(a, form.den), Fraction(b, form.den))] * (modulus // m)
+    return EventualForm(form.start, modulus, tuple(arms))
 
 
 def dyadic_jump_tail(w: WeightFamily, start: int) -> Fraction:
@@ -550,21 +556,6 @@ class Interleave(WeightFamily):
     def _at(self, n: int) -> Fraction:
         return self.parts[n % self.modulus]._at(n)
 
-    def _flatten(self) -> EventualForm:
-        inner = [eventual_form(p) for p in self.parts]
-        modulus = math.lcm(self.modulus, *(form.modulus for form in inner))
-        if modulus > MAX_ARMS:
-            raise SchemaError(
-                f"interleave: the eventual form would need {modulus} arms, over the cap of {MAX_ARMS}"
-            )
-        arms: list = [None] * modulus
-        for i, form in enumerate(inner):
-            # on the class r = i (mod M), r % form.modulus repeats every `period` steps
-            period = form.modulus // math.gcd(self.modulus, form.modulus)
-            cycle = [form.arm(i + self.modulus * t) for t in range(period)]
-            arms[i :: self.modulus] = cycle * (modulus // self.modulus // period)
-        return EventualForm(max(form.start for form in inner), modulus, tuple(arms))
-
     def _leaf_data(self):
         M, leaves, forms = self.modulus, [], [p._leaf_data() for p in self.parts]
         den, start = math.lcm(*(form[1] for form in forms)), max(form[0] for form in forms)
@@ -611,10 +602,6 @@ class PrefixOverride(WeightFamily):
 
     def _at(self, n: int) -> Fraction:
         return self.prefix[n - 1] if n <= len(self.prefix) else self.tail._at(n)
-
-    def _flatten(self) -> EventualForm:
-        form = eventual_form(self.tail)
-        return EventualForm(max(form.start, len(self.prefix) + 1), form.modulus, form.arms)
 
     def _leaf_data(self):
         (start, tail_den, head, leaves), k = self.tail._leaf_data(), len(self.prefix)

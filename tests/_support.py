@@ -2,13 +2,15 @@
 
 Acceptance criteria use seeded random.Random so the counted trials are
 reproducible; unit-level property tests use hypothesis strategies built on
-the same grammar.  The dense oracles answer the weight queries from the
-dense eventual form, one arm per residue modulo the lcm of all interleave
-part counts, independently of the leaf form the library reads.
+the same grammar.  The dense oracles answer the weight queries from
+`dense_form`, one arm per residue modulo the lcm of all interleave part
+counts, flattened here from the grammar itself, independently of the leaf
+form the library reads and of `eventual_form`, its view.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +26,7 @@ from ditkin import (
     TailInf,
     WeightFamily,
 )
-from ditkin.weights import eventual_form
+from ditkin.weights import EventualForm
 
 
 def random_fraction(
@@ -150,6 +152,26 @@ def m_infinity_elements():
 # dense-form oracles
 
 
+def dense_form(w: WeightFamily) -> EventualForm:
+    """The dense eventual form of w, flattened from its grammar fields and its leaves' `_arm`
+    alone.  An interleave of M parts takes the lcm of M and its parts' moduli, so a part that no
+    index reaches still counts in the modulus, though none of its arms is used."""
+    if isinstance(w, PrefixOverride):
+        form = dense_form(w.tail)
+        return EventualForm(max(form.start, len(w.prefix) + 1), form.modulus, form.arms)
+    if not isinstance(w, Interleave):
+        return EventualForm(1, 1, (w._arm,))  # a grammar leaf: one arm, every index
+    M, inner = w.modulus, [dense_form(p) for p in w.parts]
+    modulus = math.lcm(M, *(form.modulus for form in inner))
+    arms: list = [None] * modulus
+    for i, form in enumerate(inner):
+        # on the class r = i (mod M), r % form.modulus repeats every `period` steps
+        period = form.modulus // math.gcd(M, form.modulus)
+        cycle = [form.arm(i + M * t) for t in range(period)]
+        arms[i::M] = cycle * (modulus // M // period)
+    return EventualForm(max(form.start for form in inner), modulus, tuple(arms))
+
+
 def _dense_first_index(ef, residue: int, at_or_after: int) -> int:
     """Smallest n >= at_or_after with n % ef.modulus == residue."""
     return at_or_after + (residue - at_or_after) % ef.modulus
@@ -157,7 +179,7 @@ def _dense_first_index(ef, residue: int, at_or_after: int) -> int:
 
 def dense_tail_infimum(w: WeightFamily, n: int) -> TailInf:
     """inf{alpha_j : j >= n} and its earliest attainer, comparing every dense arm."""
-    ef = eventual_form(w)
+    ef = dense_form(w)
     lo = max(n, ef.start)
     best = min((w.at(j), j) for j in range(n, lo)) if n < lo else None
     for r, (a, b) in enumerate(ef.arms):
@@ -169,7 +191,7 @@ def dense_tail_infimum(w: WeightFamily, n: int) -> TailInf:
 
 def dense_nondecreasing(w: WeightFamily) -> bool:
     """Whether alpha_{n+1} >= alpha_n for all n, from each pair of adjacent dense arms."""
-    ef = eventual_form(w)
+    ef = dense_form(w)
     if not all(w.at(j + 1) >= w.at(j) for j in range(1, ef.start)):
         return False
     for r in range(ef.modulus):
@@ -185,7 +207,7 @@ def dense_nondecreasing(w: WeightFamily) -> bool:
 
 def dense_sup_liminf(w: WeightFamily) -> tuple:
     """(sup, liminf) with None for an unbounded sequence or an infinite liminf."""
-    ef = eventual_form(w)
+    ef = dense_form(w)
     flat = [a for a, b in ef.arms if b == 0]
     sup = None
     if all(b == 0 for _, b in ef.arms):
@@ -200,7 +222,7 @@ def _dense_first(w: WeightFamily, lo: int, hit, arm_first) -> int | None:
     takes an arm a + b*n and its first index n0 in range, and gives the
     point from which the arm qualifies (None if never).
     """
-    ef = eventual_form(w)
+    ef = dense_form(w)
     for j in range(lo, ef.start):
         if hit(w.at(j)):
             return j
@@ -230,7 +252,7 @@ def dense_searches(w: WeightFamily, t: Fraction, level: Fraction, lo: int) -> tu
 def dense_dyadic_jump_tail(w: WeightFamily, start: int) -> Fraction:
     """Sum of alpha_j * 2^{-(k+1)} over j = 2^k - 1 >= start, walking the
     dense residue r -> 2r + 1 (mod M) until it repeats."""
-    ef = eventual_form(w)
+    ef = dense_form(w)
     k = 1
     while (1 << k) - 1 < start:
         k += 1

@@ -608,6 +608,15 @@ class TestSerialization:
         assert obj == {"kind": "eventually_constant", "runs": [["1", MAX_RUNS], ["0", 1]], "tail": "1"}
         assert element_from_obj(obj) == long
 
+    def test_runs_written_up_to_the_cap(self):
+        at_cap = EventuallyConstant.from_runs([(i % 2, 2) for i in range(MAX_RUNS)], 2)
+        assert len(at_cap.ends) == MAX_RUNS and at_cap.ends[-1] > MAX_RUNS  # written as runs
+        assert element_from_obj(json.loads(json.dumps(element_to_obj(at_cap)))) == at_cap
+        over = EventuallyConstant.from_runs([(i % 2, 1) for i in range(MAX_RUNS + 1)], 2)
+        with pytest.raises(SchemaError, match=f"^an element of {MAX_RUNS + 1} runs has no serialized form: "
+                                              f"the cap is {MAX_RUNS} runs$"):
+            element_to_obj(over)
+
     @pytest.mark.parametrize(
         "prefix, tail",
         [

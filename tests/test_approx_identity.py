@@ -33,6 +33,7 @@ from ditkin import (
     select_ai_subsequence,
 )
 from ditkin.algebra import dyadic_jump_tail
+from ditkin.approx_identity import MAX_SELECTION_COUNT
 
 from _support import (
     dense_searches,
@@ -243,6 +244,11 @@ class TestSelection:
         sel = select_ai_subsequence(w, 3)
         # liminf 1 is hit exactly at prefix index 2, then on the odd arm
         assert sel.indices == (2, 3, 5)
+
+    def test_count_is_the_callers_budget(self):
+        # MAX_SELECTION_COUNT caps only the CLI's --count: the library takes any count
+        sel = select_ai_subsequence(ODD_EVEN_FAMILY, MAX_SELECTION_COUNT + 1)
+        assert sel.indices == tuple(range(1, 2 * MAX_SELECTION_COUNT + 2, 2))
 
     def test_indicator_norms_match_selection_norms(self):
         for w in (ODD_EVEN_FAMILY, Constant(3), Linear(1, 2)):

@@ -25,9 +25,8 @@ from ditkin import (
     residual_norm,
 )
 from ditkin.approx_identity import residual_oracle
-from ditkin.weights import eventual_form
 
-from _support import positive_fractions, small_fractions, weight_families, weight_leaves
+from _support import dense_form, positive_fractions, small_fractions, weight_families, weight_leaves
 
 VALUES = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(7, 3)]) | small_fractions
 
@@ -333,7 +332,7 @@ class TestScaledAt:
     @settings(deadline=None, max_examples=100)
     @given(weight_families())
     def test_matches_at(self, w):
-        start, period = eventual_form(w).start, eventual_form(w).modulus
+        start, period = dense_form(w).start, dense_form(w).modulus
         far = 10**9
         indices = list(range(1, start + 2 * period + 2)) + list(range(far - period, far + period + 1))
         den, ints = w.scaled_at(indices)

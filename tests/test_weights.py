@@ -2,12 +2,15 @@
 
 Brute-force oracles here use only weight evaluation (never the eventual
 form's arms), so they are independent of the structural computations they
-check; the attaining-index oracle reads only the form's start and modulus.
-TestLeafForm compares every query read from the leaf form with the dense
-eventual-form oracles in _support.
+check; the attaining-index oracle reads only the start and modulus of
+_support.dense_form, the grammar flattened by the tests.  TestLeafForm
+compares every query read from the leaf form with the dense oracles in
+_support, and TestDenseView compares eventual_form, the library's view of
+the leaf form, with dense_form.
 """
 
 import json
+import random
 import time
 from fractions import Fraction
 from itertools import islice
@@ -45,10 +48,12 @@ from ditkin.weights import (
 
 from _support import (
     dense_dyadic_jump_tail,
+    dense_form,
     dense_nondecreasing,
     dense_searches,
     dense_sup_liminf,
     dense_tail_infimum,
+    random_family,
     weight_families,
 )
 
@@ -410,8 +415,8 @@ PRIMES_TO_47 = [p for p in range(2, 48) if all(p % d for d in range(2, p))]
 
 
 class TestArmCap:
-    """The dense eventual form, kept as an oracle, is capped at MAX_ARMS arms;
-    queries read the leaf form, whose leaf moduli have the same budget."""
+    """Queries read the leaf form, whose leaf moduli are capped at MAX_ARMS; its dense view,
+    eventual_form, which no query reads, has the same budget on its arms (the lcm of the leaf moduli)."""
 
     def test_cap_is_inclusive(self):
         w = Interleave((_constants(256), _constants(255)))  # lcm 65,280 <= 65,536
@@ -681,6 +686,33 @@ class TestLeafForm:
             assert LeafForm(start, den, tuple(head), tuple(leaves)) == p._leaves
 
 
+class TestDenseView:
+    """eventual_form, read off the leaf form, against dense_form, flattened from the grammar."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(weight_families())
+    def test_view_matches_the_oracle(self, w):
+        oracle, view = dense_form(w), eventual_form(w)
+        span = range(oracle.start, oracle.start + 2 * oracle.modulus)
+        assert [oracle.arm(n)[0] + oracle.arm(n)[1] * n for n in span] == [w.at(n) for n in span]
+        assert view.start == oracle.start
+        assert oracle.modulus % view.modulus == 0
+        assert [view.arm(n) for n in range(oracle.modulus)] == list(oracle.arms)
+
+    def test_unreached_part_leaves_no_arms(self):
+        # the odd indices meet interleave part 1, itself of two parts, only on its part 1, and there again
+        # only on part 1: the three-part interleave nested in it is never met, so the grammar flattens to
+        # lcm(2, 3) = 6 arms and the leaves to period 2
+        rng = random.Random(40)
+        w = random_family(rng, "any", depth=rng.randint(1, 4))
+        inner = w.parts[1].parts[1]
+        assert [len(p.parts) for p in (w, w.parts[1], inner, inner.parts[0])] == [2, 2, 2, 3]
+        oracle, view = dense_form(w), eventual_form(w)
+        assert (view.modulus, oracle.modulus) == (2, 6)
+        assert [view.arm(n) for n in range(6)] == list(oracle.arms)
+        assert len({id(view.arm(n)) for n in range(0, 6, 2)}) == 1  # one shared tuple per leaf
+
+
 def _sub_families(w):
     """Every family nested in w, w itself left out."""
     parts = w.parts if isinstance(w, Interleave) else (w.tail,) if isinstance(w, PrefixOverride) else ()
@@ -706,7 +738,7 @@ class TestSearches:
         got = w.first_at_most(t, lo)
         assert got == _brute_first(lambda j: w.at(j) <= t, lo, got)
         # past the eventual start only constant arms count: alpha_j == alpha_{j+M}
-        ef = eventual_form(w)
+        ef = dense_form(w)
         level = w.at(i)
 
         def attains(j):
