@@ -371,7 +371,10 @@ class EventuallyConstant(Element):
             den, s = math.lcm(self.den, other.den), None
             a, b = den // self.den, den // other.den
         ends, theirs = (e if s is None else e[: bisect.bisect_left(e, s) + 1] for e in (self.ends, other.ends))
-        ends = ends if ends == theirs else sorted(set(ends).union(theirs))
+        if ends != theirs:  # only the ends of the operand that ends later up to the other's last end need a sort
+            short, long = sorted((ends, theirs), key=lambda e: e[-1:])
+            i = bisect.bisect_right(long, short[-1]) if short else 0
+            ends = sorted(set(long[:i]).union(short)) + list(long[i:])
         vals = list(map(op, self._on(ends, a), other._on(ends, b)))
         return self._of(den, ends, vals[:-1], vals[-1])
 
@@ -397,8 +400,8 @@ class EventuallyConstant(Element):
 
     @functools.cached_property
     def _sums(self) -> dict[int, tuple[WeightFamily, int, list[int]]]:
-        # per weight family, keyed by id(w) as in RuleBased: w, D_w and the suffix sums,
-        # from run i on, of the scaled jumps D_w * alpha_e * |nums[i+1] - nums[i]| at the run ends e
+        # per weight family, keyed by id(w) as in RuleBased: w, D_w and the prefix sums of the scaled jumps
+        # D_w * alpha_e * |nums[i+1] - nums[i]| at the run ends e; the jumps from run i on sum to sums[-1] - sums[i]
         return {}
 
     def tail_sup(self, start: int, end: int, horizon: int) -> NormResult:
@@ -409,7 +412,7 @@ class EventuallyConstant(Element):
 
     def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
         # every jump sits at a run end
-        start = natural(start, "start must be >= 1")
+        start, w = natural(start, "start must be >= 1"), of_type(w, WeightFamily, "weights")
         if not self.ends:  # also keeps the shared ZERO and ONE free of memo entries
             return NormResult.exact(0)
         memo = self._sums.get(id(w))
@@ -417,10 +420,10 @@ class EventuallyConstant(Element):
             dw, alphas = w.scaled_at(self.ends)
             nxt = self.nums[1:] + (self.tail_num,)
             jumps = [a * abs(y - x) for a, x, y in zip(alphas, self.nums, nxt)]
-            memo = self._sums[id(w)] = w, dw, list(accumulate(reversed(jumps), initial=0))[::-1]
+            memo = self._sums[id(w)] = w, dw, list(accumulate(jumps, initial=0))
         _, dw, sums = memo
         i = bisect.bisect_left(self.ends, start)  # the first jump at or past start
-        return NormResult.exact(Fraction(sums[i], self.den * dw))
+        return NormResult.exact(Fraction(sums[-1] - sums[i], self.den * dw))
 
 
 ZERO = EventuallyConstant((), Fraction(0))
@@ -525,6 +528,7 @@ class RuleBased(Element):
     def tail_variation(self, w: WeightFamily, start: int, end: int, horizon: int) -> NormResult:
         # the window is the exact difference S[end] - S[start-1] of two memo sums
         _check_window(start, end)
+        w = of_type(w, WeightFamily, "weights")
         self._scan_to(end + 1)
         # keyed by id(w), which the entry keeps alive: hashing a family walks its tree
         _, sums = self._sums.setdefault(id(w), (w, [Fraction(0)]))

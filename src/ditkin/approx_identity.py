@@ -97,7 +97,8 @@ def residual_norm(f: Element, w: WeightFamily, k: int, horizon: int = DEFAULT_HO
     body = f.tail_sup(k + 1, end, horizon) + f.tail_variation(w, k + 1, end, horizon)
     # the boundary term comes last, so a rule-based f(k+1) is read from the memo
     third = w.at(k) * abs(f.at(k + 1))
-    return NormResult(body.lo + third, body.hi + third, body.horizon)
+    lo = body.lo + third  # an exact body adds the boundary term once
+    return NormResult.exact(lo) if body.is_exact else NormResult(lo, body.hi + third, body.horizon)
 
 
 def residual_oracle(f: EventuallyConstant, w: WeightFamily, k: int) -> NormResult:
@@ -132,7 +133,8 @@ def select_ai_subsequence(
     count, w = natural(count, "count must be >= 1"), of_type(w, WeightFamily, "weights")
     indices = tuple(islice(w.selected_indices(1, slack), count))
     den, scaled = w.scaled_at(indices)
-    norms = tuple(Fraction(den + v, den) for v in scaled)
+    norm_of = {v: Fraction(den + v, den) for v in set(scaled)}  # one Fraction per distinct weight
+    norms = tuple(map(norm_of.__getitem__, scaled))
     cls = w.classify()
     if cls.liminf is None:
         return AiSelection(indices, norms)

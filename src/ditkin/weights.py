@@ -462,7 +462,7 @@ def dyadic_jump_tail(w: WeightFamily, start: int) -> Fraction:
     DivergentVariationError when a growing leaf recurs in the cycle, in
     which case the series has no finite value at all.
     """
-    form = w._leaves
+    form = of_type(w, WeightFamily, "weights")._leaves
     k = natural(start, "start must be >= 1").bit_length()  # the least k with 2^k - 1 >= start
     num, den = 0, 1 << k  # the sum so far is num / (den * D_w)
     while (1 << k) - 1 < form.start:

@@ -265,7 +265,19 @@ class TestSelection:
     # a tie at the running minimum 3, alpha_1 on the second leaf and alpha_2 on the first
     @example(Interleave((Linear(1, 1), Linear(2, 1))), 4, None)
     def test_selection_matches_dense_oracles(self, w, count, slack):
-        assert select_ai_subsequence(w, count, slack).indices == _dense_selection(w, count, slack)
+        sel = select_ai_subsequence(w, count, slack)
+        assert sel.indices == _dense_selection(w, count, slack)
+        assert sel.norms == tuple(1 + w.at(n) for n in sel.indices)
+
+    @pytest.mark.parametrize(
+        "w, distinct",
+        [(Interleave((Constant(1), Constant(2))), 2), (Linear(Fraction(1, 3), 1), 200)],
+        ids=["two_values", "divergent"],
+    )
+    def test_selection_norms_share_one_fraction_per_distinct_weight(self, w, distinct):
+        sel = select_ai_subsequence(w, 200)
+        assert sel.norms == tuple(1 + w.at(n) for n in sel.indices)
+        assert len(set(sel.norms)) == len(set(map(id, sel.norms))) == distinct
 
     @settings(deadline=None, max_examples=60)
     @given(weight_families(), st.integers(1, 6))

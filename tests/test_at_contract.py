@@ -265,32 +265,32 @@ def test_exact_callback_value_is_accepted(name, x):
 # with the name in its TypeError; each is given the right kind of object in
 # the accepted case.  ZERO has no jumps, so its norm would read no weight at all.
 VANISHING = EventuallyConstant((F(1), F(-2, 3), F(5)), F(0))
+WEIGHTS = "weights must be of type WeightFamily"
 STRUCTURED = {
-    "norm_exact": (lambda x: STEPS.norm(x), Constant(2), "weights must be of type WeightFamily"),
-    "norm_zero": (lambda x: ZERO.norm(x), Constant(2), "weights must be of type WeightFamily"),
-    "norm_dyadic": (lambda x: DyadicDecay().norm(x), Constant(2), "weights must be of type WeightFamily"),
-    "norm_rule_based": (lambda x: _rule_based().norm(x, 8), Constant(1), "weights must be of type WeightFamily"),
-    "weighted_variation": (lambda x: ONE.weighted_variation(x), Constant(2), "weights must be of type WeightFamily"),
-    "residual_norm": (lambda x: residual_norm(VANISHING, x, 2), Constant(2), "weights must be of type WeightFamily"),
-    "residual_oracle": (lambda x: residual_oracle(VANISHING, x, 2), Constant(2), "weights must be of type WeightFamily"),
-    "residual_diagnostics": (
-        lambda x: residual_diagnostics(VANISHING, x, [2]), Constant(2), "weights must be of type WeightFamily"
-    ),
-    "residual_diagnostics_no_index": (
-        lambda x: residual_diagnostics(VANISHING, x, []), Constant(2), "weights must be of type WeightFamily"
-    ),
-    "select_ai": (lambda x: select_ai_subsequence(x, 3), Constant(2), "weights must be of type WeightFamily"),
-    "ditkin_approximation": (
-        lambda x: ditkin_approximation(DyadicDecay(), x, F(1)), Constant(2), "weights must be of type WeightFamily"
-    ),
-    "property_report": (property_report, TWO_MODULI, "weights must be of type WeightFamily"),
-    "witness_weights": (
-        lambda x: relative_unit_witness(x, INFINITY, ClosedSet((2,))), Constant(2), "weights must be of type WeightFamily"
-    ),
+    "norm_exact": (lambda x: STEPS.norm(x), Constant(2), WEIGHTS),
+    "norm_zero": (lambda x: ZERO.norm(x), Constant(2), WEIGHTS),
+    "norm_dyadic": (lambda x: DyadicDecay().norm(x), Constant(2), WEIGHTS),
+    "norm_rule_based": (lambda x: _rule_based().norm(x, 8), Constant(1), WEIGHTS),
+    "weighted_variation": (lambda x: ONE.weighted_variation(x), Constant(2), WEIGHTS),
+    # the tier functionals themselves, also where no jump would read a weight
+    **{
+        f"tail_variation_{tier}": (lambda x, f=f: f.tail_variation(x, 1, 1, 0), Constant(2), WEIGHTS)
+        for tier, f in [("zero", ZERO), ("exact", STEPS), ("dyadic", DyadicDecay()),
+                        ("constant_rule_based", RuleBased(lambda n: 0, 0, lambda start, w: 0))]
+    },
+    "dyadic_jump_tail": (lambda x: dyadic_jump_tail(x, 1), Constant(2), WEIGHTS),
+    "residual_norm": (lambda x: residual_norm(VANISHING, x, 2), Constant(2), WEIGHTS),
+    "residual_oracle": (lambda x: residual_oracle(VANISHING, x, 2), Constant(2), WEIGHTS),
+    "residual_diagnostics": (lambda x: residual_diagnostics(VANISHING, x, [2]), Constant(2), WEIGHTS),
+    "residual_diagnostics_no_index": (lambda x: residual_diagnostics(VANISHING, x, []), Constant(2), WEIGHTS),
+    "select_ai": (lambda x: select_ai_subsequence(x, 3), Constant(2), WEIGHTS),
+    "ditkin_approximation": (lambda x: ditkin_approximation(DyadicDecay(), x, F(1)), Constant(2), WEIGHTS),
+    "property_report": (property_report, TWO_MODULI, WEIGHTS),
+    "witness_weights": (lambda x: relative_unit_witness(x, INFINITY, ClosedSet((2,))), Constant(2), WEIGHTS),
     "unbounded_nondivergent": (
         lambda x: unbounded_nondivergent_family(x, 1), Linear(0, 1), "divergent part must be of type WeightFamily"
     ),
-    "repro_checks": (repro_checks, Constant(1), "weights must be of type WeightFamily"),
+    "repro_checks": (repro_checks, Constant(1), WEIGHTS),
     "in_ideal": (STEPS.in_ideal, IdealSpec.m_at(INFINITY), "ideal spec must be of type IdealSpec"),
     "in_ideal_dyadic": (DyadicDecay().in_ideal, IdealSpec.j_at(3), "ideal spec must be of type IdealSpec"),
     "witness_excluded_at_infinity": (
