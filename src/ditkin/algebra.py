@@ -46,8 +46,8 @@ DEFAULT_HORIZON = 1 << 16
 MAX_RUNS = 1 << 16  # the JSON budget of an element's runs, and the longest prefix it writes out
 
 
-class _Infinity:
-    """The added point of the compactification; a singleton sentinel."""
+class _Infinity(Record):
+    """The added point of the compactification; a singleton sentinel, written as "inf"."""
 
     _instance = None
 
@@ -58,6 +58,9 @@ class _Infinity:
 
     def __repr__(self) -> str:
         return "INFINITY"
+
+    def to_obj(self) -> str:
+        return "inf"
 
 
 INFINITY = _Infinity()
@@ -74,10 +77,6 @@ def parse_point(obj: object, path: str = "point") -> int | _Infinity:
     if isinstance(obj, str) and obj.strip().lower() in {"inf", "infinity", "∞"}:
         return INFINITY
     raise SchemaError(f"{path}: expected a natural number or \"inf\", got {echo(obj)}")
-
-
-def format_point(p: int | _Infinity) -> object:
-    return "inf" if p is INFINITY else p
 
 
 def check_horizon(h) -> int:
@@ -210,9 +209,9 @@ def _singleton(point) -> ClosedSet:
     return ClosedSet((point,), with_infinity=False)
 
 
-class Element:
-    """A continuous function on N ∪ {∞}; see the concrete tiers below.  A tier supplies _at(n)
-    for a checked n, the limit f(∞), scale and the two tail functionals, and may supply support."""
+class Element(Record):
+    """A continuous function on N ∪ {∞}; see the concrete tiers below.  A tier supplies _at(n) for a checked n,
+    the limit f(∞), scale and the two tail functionals, and may supply support.  element_to_obj writes it."""
 
     support = None  # no support known; not annotated, so that no frozen tier takes it for a field
 
@@ -259,6 +258,9 @@ class Element:
         if not zs.with_infinity:
             return True
         return self.limit == 0 and (not spec.neighbourhood or self.support is not None)
+
+    def to_obj(self) -> dict:
+        return element_to_obj(self)
 
     def _pointwise(self, other, op) -> "EventuallyConstant":
         raise UnsupportedOperandKind(
@@ -370,11 +372,10 @@ class EventuallyConstant(Element):
         else:
             den, s = math.lcm(self.den, other.den), None
             a, b = den // self.den, den // other.den
-        ends, theirs = (e if s is None else e[: bisect.bisect_left(e, s) + 1] for e in (self.ends, other.ends))
-        if ends != theirs:  # only the ends of the operand that ends later up to the other's last end need a sort
-            short, long = sorted((ends, theirs), key=lambda e: e[-1:])
-            i = bisect.bisect_right(long, short[-1]) if short else 0
-            ends = sorted(set(long[:i]).union(short)) + list(long[i:])
+        cut = (e if s is None else e[: bisect.bisect_left(e, s) + 1] for e in (self.ends, other.ends))
+        short, long = sorted(cut, key=lambda e: e[-1:])  # only the ends of the operand that ends later
+        i = bisect.bisect_right(long, short[-1]) if short else 0  # up to the other's last end need a sort
+        ends = sorted(set(long[:i]).union(short)) + list(long[i:])
         vals = list(map(op, self._on(ends, a), other._on(ends, b)))
         return self._of(den, ends, vals[:-1], vals[-1])
 

@@ -23,7 +23,6 @@ from .errors import HorizonExhausted, NotInMInfinityError
 from .weights import Record, WeightFamily, frozen, natural, of_type, optional, rational
 
 DEFAULT_SELECTION_COUNT = 8
-MAX_SELECTION_COUNT = 1 << 16  # the CLI's budget on --count
 DEFAULT_SEARCH_BOUND = 1 << 40
 
 

@@ -22,8 +22,6 @@ from .algebra import (
     Element,
     EventuallyConstant,
     INFINITY,
-    element_to_obj,
-    format_point,
 )
 from .approx_identity import (
     AiSelection,
@@ -120,9 +118,6 @@ class RelativeUnitWitness(Record):
     norm: Fraction
     fields = "point", "excluded_set_max", "element", "norm"
     convert = {"norm": rational}
-
-    def to_obj(self) -> dict:
-        return {**super().to_obj(), "point": format_point(self.point), "element": element_to_obj(self.element)}
 
 
 def relative_unit_witness(w: WeightFamily, point, excluded: ClosedSet) -> RelativeUnitWitness:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .algebra import closed_set_from_obj, element_from_obj, parse_point
-from .approx_identity import DEFAULT_SELECTION_COUNT, MAX_SELECTION_COUNT, diagnostics_to_csv
+from .approx_identity import DEFAULT_SELECTION_COUNT, diagnostics_to_csv
 from .approx_identity import residual_diagnostics, select_ai_subsequence
 from .classifier import PROPERTIES, dyadic_counterexample, property_report, relative_unit_witness, repro_checks
 from .errors import DitkinError, SchemaError
@@ -77,6 +77,9 @@ def _residuals(args):
     if not (isinstance(indices, list) and all(type(n) is int and n >= 1 for n in indices)):
         raise SchemaError("indices: expected a list of naturals >= 1")
     return residual_diagnostics(f, w, indices), EXIT_OK
+
+
+MAX_SELECTION_COUNT = 1 << 16  # the CLI's budget on --count
 
 
 def _select_ai(args):

@@ -140,8 +140,8 @@ def json_form(value):
 
 
 class Record:
-    """A value with a JSON form: the `fields` its class declares, the JSON keys in output order
-    (a family's map each key to its kind), each written from the attribute of that name by json_form.
+    """A value with a JSON form: the `fields` its class declares, the JSON keys in output order (a family's
+    map each key to its kind), each written from the attribute of that name by json_form, or its own to_obj.
     They are not annotated, so `frozen` takes none of them for a field.  A result's rationals are stored as
     Fractions (its `convert`), so their JSON form is always a format_rational string."""
 
@@ -615,11 +615,11 @@ _FAMILIES = {cls.tag: cls for cls in (Constant, Linear, Interleave, PrefixOverri
 _EXPECTED = "{}, or {}".format(", ".join([*_FAMILIES][:-1]), [*_FAMILIES][-1])
 
 
-def weight_family_from_obj(obj: object, path: str = "weights", depth: int = 0) -> WeightFamily:
+def weight_family_from_obj(obj: object, path: str = "weights") -> WeightFamily:
     """Parse a weight family from its JSON object form, with field-level errors: the tag
     names the class, and the class's declared fields are read in order.  Each distinct
     rational string of the document is parsed once, as element_from_obj does."""
-    return _read(WeightFamily, obj, path, depth, {})
+    return _read(WeightFamily, obj, path, 0, {})
 
 
 def _read(kind, value: object, path: str, depth: int, memo: dict[str, Fraction]):

@@ -33,7 +33,7 @@ from ditkin import (
     select_ai_subsequence,
 )
 from ditkin.algebra import dyadic_jump_tail
-from ditkin.approx_identity import MAX_SELECTION_COUNT
+from ditkin.cli import MAX_SELECTION_COUNT
 
 from _support import (
     dense_searches,

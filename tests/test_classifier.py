@@ -1,5 +1,6 @@
 """Regularity reports, relative-unit witnesses, and the built-in families."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from ditkin import (
     Linear,
     NormResult,
     NotDivergentError,
+    PrefixOverride,
     dyadic_counterexample,
     prefix_indicator,
     property_report,
@@ -204,3 +206,74 @@ class TestBuiltInFamilies:
             unbounded_nondivergent_family(Constant(1), Fraction(1))
         with pytest.raises(NotDivergentError):
             unbounded_nondivergent_family(ODD_EVEN_FAMILY, Fraction(1))
+
+
+def _grammar(w):
+    """(leaves, prefixes, period) read from the grammar itself: its Constant and Linear nodes, each at the global
+    index, its prefixes, and a multiple of every leaf's modulus (the part counts on each path, multiplied)."""
+    if isinstance(w, Interleave):
+        walks = [_grammar(p) for p in w.parts]
+        return ([g for leaves, _, _ in walks for g in leaves], [q for _, qs, _ in walks for q in qs],
+                len(w.parts) * math.lcm(*(m for _, _, m in walks)))
+    if isinstance(w, PrefixOverride):
+        leaves, prefixes, period = _grammar(w.tail)
+        return leaves, [w.prefix, *prefixes], period
+    return [w], [], 1
+
+
+def _verdicts(w) -> dict:
+    """The four computed truth values of the report, each decided here from element norms, without the report.
+    Indices come from the family: past its longest prefix and period, and past where each growing leaf crosses
+    a level, found with that leaf's first_above."""
+    leaves, prefixes, period = _grammar(w)
+    growing = [g for g in leaves if isinstance(g, Linear) and g.slope > 0]
+    flat = [g.at(1) for g in leaves if g not in growing]
+    top = max([*flat, *(v for q in prefixes for v in q)], default=0)  # no weight of bounded w passes it
+    levels = [Fraction(1 << i) for i in range(max(8, math.floor(2 * top + 1).bit_length() + 1))]  # the last > 2 top + 1
+    head = max(map(len, prefixes), default=0)
+
+    # relative units at ∞: past n, every growing leaf exceeds the least flat one, so the cheapest unit stays put
+    # exactly when a flat leaf exists; with none, one period later every leaf and so the cheapest unit has grown
+    n = max([head, period, *(g.first_above(min(flat)) for g in growing if flat)]) + 1
+    at_inf = [relative_unit_witness(w, INFINITY, ClosedSet((x,))).element.norm(w).value for x in (n, n + period)]
+
+    # the identity of the ideal at x_i, the first point past 2^i, has norm > 2^i at every level: no uniform bound
+    points, x = [], 1
+    while len(points) < len(levels) and (x := w.first_above(levels[len(points)], x)) is not None:
+        points.append(x)
+    local = [relative_unit_witness(w, x, ClosedSet(())).element.norm(w).value for x in points]
+    unbounded = len(points) == len(levels) and all(map(Fraction.__gt__, local, levels))
+
+    # the truncation e_k at the first selected index past every growing leaf's crossing of 2^i: for divergent
+    # weights these are running-minimum indices, and their norms pass 2^i at every level
+    ks = [next(w.selected_indices(max([head, *(g.first_above(t) for g in growing)]) + 1)) for t in levels]
+    truncations = [prefix_indicator(k).norm(w).value for k in ks]
+    divergent = all(map(Fraction.__gt__, truncations, levels))
+
+    if not divergent:  # each truncation stays under the largest flat weight, plus one
+        assert max(truncations) <= 1 + max(flat)
+    if not unbounded:  # every local identity over a period past the head stays within 2 top + 1
+        assert all(relative_unit_witness(w, x, ClosedSet(())).element.norm(w).value <= 2 * top + 1
+                   for x in range(1, head + 2 * period + 2))
+    return {"strong_ditkin": not divergent, "m_infinity_has_bai": not divergent,
+            "bru_bade": at_inf[0] == at_inf[1], "bru_dales": not unbounded}
+
+
+class TestTruthValuesThroughElements:
+    """The report's four computed truth values against verdicts of their own, from element norms on seeded
+    random families of every kind: a wrong rule in PropertyReport fails here, not only where a test restates it."""
+
+    @pytest.mark.parametrize("kind", ["bounded", "liminf_finite", "divergent", "any"])
+    def test_report_agrees_with_the_element_norms(self, kind):
+        rng, seen = random.Random(f"truth-{kind}"), set()
+        for _ in range(40):
+            w = random_family(rng, kind, depth=rng.randint(1, 3))
+            rep, want = property_report(w), _verdicts(w)
+            assert {p: getattr(rep, p) for p in want} == want, w
+            if rep.bade_witness is not None:  # its truncations stay within 1 + liminf + slack
+                bw = rep.bade_witness
+                assert all(prefix_indicator(k).norm(w).value <= 1 + bw.liminf + bw.slack for k in bw.indices), w
+            seen.add(tuple(want.values()))
+        patterns = {"bounded": {(True,) * 4}, "liminf_finite": {(True,) * 4, (True,) * 3 + (False,)},
+                    "divergent": {(False,) * 4}}
+        assert seen == patterns[kind] if kind in patterns else seen <= set.union(*patterns.values())

@@ -10,8 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ditkin.approx_identity import MAX_SELECTION_COUNT
-from ditkin.cli import main
+from ditkin.cli import MAX_SELECTION_COUNT, main
 
 ODD_EVEN_WEIGHTS = {
     "family": "interleave",

@@ -128,7 +128,7 @@ class TestAgainstModel:
 
 class TestRunLayouts:
     """Arithmetic reads each operand on the merged run ends, the tail past its own last
-    end, and skips the merge when the operands share their ends; every layout must
+    end, and merges two equal lists of ends into the same list; every layout must
     agree with the model."""
 
     @settings(deadline=None, max_examples=100)

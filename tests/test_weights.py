@@ -34,7 +34,7 @@ from ditkin import (
     weight_family_from_obj,
 )
 from ditkin import weights
-from ditkin.algebra import ONE, NormResult
+from ditkin.algebra import INFINITY, ONE, DyadicDecay, EventuallyConstant, NormResult, element_to_obj
 from ditkin.weights import (
     MAX_ARMS,
     MAX_FAMILY_DEPTH,
@@ -254,12 +254,17 @@ class TestSerialization:
 
     def test_one_writer_for_every_kind_of_value(self):
         value = {"q": Fraction(6, 4), "items": (1, None, True, "s", [Fraction(2)]), "rows": (NormResult.exact(1),)}
-        assert json_form({**value, "family": Constant(3)}) == {
+        exact, staircase = EventuallyConstant((Fraction(1, 2), 1), 3), DyadicDecay()
+        assert json_form({**value, "family": Constant(3), "point": INFINITY, "elements": [exact, staircase]}) == {
             "q": "3/2",
             "items": [1, None, True, "s", ["2"]],
             "rows": [{"exact": "1"}],
             "family": {"family": "constant", "value": "3"},
+            "point": "inf",
+            "elements": [element_to_obj(exact), element_to_obj(staircase)],
         }
+        assert json_form(INFINITY) == "inf" and element_to_obj(staircase) == {"kind": "dyadic_decay"}
+        assert element_to_obj(exact) == {"kind": "eventually_constant", "prefix": ["1/2", "1"], "tail": "3"}
 
     def test_odd_even_family_document(self):
         obj = {
